@@ -1,11 +1,12 @@
 // Command imbafed federates many imbamon instances into one cluster-wide
-// imbalance view: it periodically scrapes each endpoint's /cube.json,
-// merges the cubes — ranks offset per job, regions namespaced by endpoint
-// name — and re-serves the paper's dispersion indices for the whole fleet
-// through the same exposition the per-job monitors use. Endpoints that
-// expose window series (/windows.json, collectors started with a window
-// width) additionally get their timelines merged, so the federation
-// serves a cluster-wide imbalance trajectory too.
+// imbalance view: it periodically scrapes each endpoint's /delta (the
+// binary LIFP snapshot transfer, which ships only what changed since the
+// generation the federator holds), merges the cubes — ranks offset per
+// job, regions namespaced by endpoint name — and re-serves the paper's
+// dispersion indices for the whole fleet through the same exposition the
+// per-job monitors use. Endpoints that fold window series (collectors
+// started with a window width) additionally get their timelines merged,
+// so the federation serves a cluster-wide imbalance trajectory too.
 //
 // Endpoints (see internal/federate): /metrics (federation scrape-state
 // gauges, including per-endpoint scrape latency, followed by the cube's
@@ -15,7 +16,7 @@
 // over the cluster-wide trajectory, the same segmentation each
 // endpoint's own /phases.json runs), /diagnose.json (automatic
 // diagnosis over the merged windows, findings naming ranks job-locally
-// as "job/3"), /lorenz.json and /healthz
+// as "job/3"), /lorenz.json, /delta and /healthz
 // (per-endpoint scrape state: last success, last attempt, scrape
 // latency, consecutive failures, staleness, window availability).
 //
@@ -27,13 +28,13 @@
 //	curl -s localhost:9290/healthz
 //
 // Each -endpoints entry is name=url (or a bare url, named after its
-// host). An endpoint that fails -max-failures consecutive scrapes is
-// marked stale and dropped from the aggregate until it recovers; the
-// remaining endpoints keep serving a correct cluster view.
+// host). An endpoint that fails -max-failures consecutive scrapes — an
+// unreachable host, a timeout, any /delta answer other than 200 or 304,
+// an undecodable document — is marked stale and dropped from the
+// aggregate until it recovers; the remaining endpoints keep serving a
+// correct cluster view.
 //
-// Scrapes speak the binary /delta protocol when the endpoint supports
-// it (falling back to JSON transparently; -no-delta forces JSON), and a
-// federator serves /delta itself, so federators compose into trees: a
+// A federator serves /delta itself, so federators compose into trees: a
 // higher tier scrapes lower-tier federators with -raw, which merges
 // their cubes verbatim — the lower tier already namespaced its regions
 // and ranks:
@@ -85,7 +86,6 @@ type daemon struct {
 	maxFailures  int
 	windowCap    int
 	raw          bool
-	noDelta      bool
 	maxBodyBytes int64
 
 	fed *federate.Federator
@@ -109,10 +109,8 @@ func parseArgs(args []string) (*daemon, error) {
 		"max full-resolution windows in the merged series; older windows decimate into a coarse tail (<= 0 = unbounded)")
 	fs.BoolVar(&d.raw, "raw", false,
 		"endpoints are lower-tier federators: merge their cubes without re-namespacing regions or relabeling ranks")
-	fs.BoolVar(&d.noDelta, "no-delta", false,
-		"disable the binary /delta scrape path; always fetch full JSON documents")
 	fs.Int64Var(&d.maxBodyBytes, "max-body-bytes", 0,
-		"per-scrape response body limit in bytes, compressed and decompressed (0 = default 64 MiB, < 0 = unlimited)")
+		"per-scrape response body limit in bytes (0 = default 64 MiB, < 0 = unlimited)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -153,7 +151,6 @@ func (d *daemon) run(ctx context.Context, stdout io.Writer) error {
 		Timeout:      d.timeout,
 		MaxFailures:  d.maxFailures,
 		WindowCap:    winCap,
-		DisableDelta: d.noDelta,
 		MaxBodyBytes: d.maxBodyBytes,
 		Logf:         log.Printf,
 	})

@@ -32,9 +32,9 @@
 // run completes.
 //
 // To watch a fleet of imbamon instances as one program, point imbafed
-// (cmd/imbafed) at their /cube.json endpoints: it federates the cubes
-// (rank offsetting + region namespacing) and re-serves the cluster-wide
-// indices through the same exposition.
+// (cmd/imbafed) at their base URLs: it scrapes each one's /delta,
+// federates the cubes (rank offsetting + region namespacing) and
+// re-serves the cluster-wide indices through the same exposition.
 package main
 
 import (

@@ -55,60 +55,59 @@ func benchFleet(b *testing.B) ([]*monitor.Collector, []Endpoint, *httptest.Serve
 
 // BenchmarkFederateScrape measures one steady-state scrape round of a
 // 100-endpoint fleet where a single endpoint changed since the last
-// round — the common case for any real scrape interval. The delta
-// sub-benchmark rides LIFP (99 endpoints answer 304, one ships a
-// cell-level diff); json forces the full-document JSON path with its
-// ETag caching. Reported metrics: wire_B/op is body bytes fetched per
-// round (the ≥10x delta-vs-JSON reduction in BENCH_federate.json), and
-// p99_ms is the 99th-percentile per-endpoint scrape latency.
+// round — the common case for any real scrape interval: 99 endpoints
+// answer 304 and one ships a cell-level LIFP diff. Reported metrics:
+// wire_B/op is body bytes fetched per round; json_B/op is what the
+// changed endpoint's gzip'd /cube.json + /windows.json weigh, i.e. the
+// full documents a JSON scraper would refetch instead (measured outside
+// the timed region), so wire_B/op against json_B/op is the ≥10x
+// reduction in BENCH_federate.json; p99_ms is the 99th-percentile
+// per-endpoint scrape latency.
 func BenchmarkFederateScrape(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"delta", false}, {"json", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			collectors, endpoints, _ := benchFleet(b)
-			f, err := New(Options{
-				Endpoints:    endpoints,
-				Timeout:      30 * time.Second,
-				DisableDelta: mode.disable,
-				Client:       &http.Client{Timeout: 30 * time.Second},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			f.ScrapeAll(ctx) // cold sync: every endpoint ships a full document
-			if f.Snapshot().Cube == nil {
-				b.Fatal("fleet scrape produced no cube")
-			}
-			var startBytes uint64
-			for _, h := range f.Health() {
-				startBytes += h.Bytes
-			}
-			var latencies []float64
-			at := 200.0
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				collectors[n%benchEndpoints].Record(trace.Event{
-					Rank: 1, Region: "solve", Activity: "comp", Start: at, End: at + 0.4,
-				})
-				at += 0.5
-				f.ScrapeAll(ctx)
-				for _, h := range f.Health() {
-					latencies = append(latencies, h.ScrapeMillis)
-				}
-			}
-			b.StopTimer()
-			var endBytes uint64
-			for _, h := range f.Health() {
-				endBytes += h.Bytes
-			}
-			b.ReportMetric(float64(endBytes-startBytes)/float64(b.N), "wire_B/op")
-			sort.Float64s(latencies)
-			if len(latencies) > 0 {
-				b.ReportMetric(latencies[len(latencies)*99/100], "p99_ms")
-			}
+	collectors, endpoints, _ := benchFleet(b)
+	f, err := New(Options{
+		Endpoints: endpoints,
+		Timeout:   30 * time.Second,
+		Client:    &http.Client{Timeout: 30 * time.Second},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	f.ScrapeAll(ctx) // cold sync: every endpoint ships a full document
+	if f.Snapshot().Cube == nil {
+		b.Fatal("fleet scrape produced no cube")
+	}
+	var startBytes, jsonBytes uint64
+	for _, h := range f.Health() {
+		startBytes += h.Bytes
+	}
+	var latencies []float64
+	at := 200.0
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		changed := n % benchEndpoints
+		collectors[changed].Record(trace.Event{
+			Rank: 1, Region: "solve", Activity: "comp", Start: at, End: at + 0.4,
 		})
+		at += 0.5
+		f.ScrapeAll(ctx)
+		for _, h := range f.Health() {
+			latencies = append(latencies, h.ScrapeMillis)
+		}
+		b.StopTimer()
+		jsonBytes += jsonScrapeBytes(b, endpoints[changed].URL)
+		b.StartTimer()
+	}
+	b.StopTimer()
+	var endBytes uint64
+	for _, h := range f.Health() {
+		endBytes += h.Bytes
+	}
+	b.ReportMetric(float64(endBytes-startBytes)/float64(b.N), "wire_B/op")
+	b.ReportMetric(float64(jsonBytes)/float64(b.N), "json_B/op")
+	sort.Float64s(latencies)
+	if len(latencies) > 0 {
+		b.ReportMetric(latencies[len(latencies)*99/100], "p99_ms")
 	}
 }

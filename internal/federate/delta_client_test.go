@@ -2,8 +2,10 @@ package federate
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -32,10 +34,41 @@ func newTestFederator(t *testing.T, url string, mutate func(*Options)) *Federato
 	return f
 }
 
+// jsonScrapeBytes fetches the endpoint's /cube.json and /windows.json the
+// way a JSON scraper would, gzip-negotiated, and returns the body bytes
+// on the wire: the full-document cost the /delta path is measured
+// against.
+func jsonScrapeBytes(tb testing.TB, base string) uint64 {
+	tb.Helper()
+	var total uint64
+	for _, doc := range []string{"/cube.json", "/windows.json"} {
+		req, err := http.NewRequest(http.MethodGet, base+doc, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		// Set explicitly, the header also stops the transport from
+		// decompressing: the count is what crossed the wire.
+		req.Header.Set("Accept-Encoding", "gzip")
+		resp, err := testClient.Do(req)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Encoding") != "gzip" {
+			tb.Fatalf("GET %s%s: status %d, encoding %q, err %v",
+				base, doc, resp.StatusCode, resp.Header.Get("Content-Encoding"), err)
+		}
+		total += uint64(n)
+	}
+	return total
+}
+
 // TestScrapeDeltaSavesBytes: once a client holds a snapshot, follow-up
 // scrapes of a slightly-changed endpoint must move far fewer bytes over
-// the delta path than the same scrapes forced through full JSON — the
-// whole point of LIFP. Both federators must end up with identical cubes.
+// the delta path than refetching the endpoint's full JSON documents
+// (gzip'd) would — the whole point of LIFP — and the federated cube must
+// be exactly the endpoint's own.
 func TestScrapeDeltaSavesBytes(t *testing.T) {
 	c := monitor.NewCollector(monitor.Options{Shards: 1, Window: 0.25})
 	for _, e := range jobEvents(16, 0.5) {
@@ -44,77 +77,90 @@ func TestScrapeDeltaSavesBytes(t *testing.T) {
 	srv := httptest.NewServer(serve.NewHandler(c))
 	defer srv.Close()
 
-	delta := newTestFederator(t, srv.URL, nil)
-	full := newTestFederator(t, srv.URL, func(o *Options) { o.DisableDelta = true })
+	f := newTestFederator(t, srv.URL, nil)
 	ctx := context.Background()
-	delta.ScrapeAll(ctx)
-	full.ScrapeAll(ctx)
-
-	dh, fh := delta.Health()[0], full.Health()[0]
-	if !dh.Delta {
-		t.Fatalf("delta federator did not use the delta protocol: %+v", dh)
-	}
-	if fh.Delta {
-		t.Fatalf("DisableDelta federator used the delta protocol: %+v", fh)
-	}
-	deltaBase, fullBase := dh.Bytes, fh.Bytes
+	f.ScrapeAll(ctx)
+	deltaBase := f.Health()[0].Bytes
 
 	// A small change, then rescrape: the delta carries one cell and one
-	// window, full JSON re-ships everything.
-	var deltaIncr, fullIncr uint64
+	// window, the JSON documents re-ship everything.
+	var jsonIncr uint64
 	for i := 0; i < 3; i++ {
 		c.Record(trace.Event{Rank: 3, Region: "solve", Activity: "comp",
 			Start: 20 + float64(i), End: 20.5 + float64(i)})
-		delta.ScrapeAll(ctx)
-		full.ScrapeAll(ctx)
+		f.ScrapeAll(ctx)
+		jsonIncr += jsonScrapeBytes(t, srv.URL)
 	}
-	deltaIncr = delta.Health()[0].Bytes - deltaBase
-	fullIncr = full.Health()[0].Bytes - fullBase
-	if deltaIncr == 0 || fullIncr == 0 {
-		t.Fatalf("no bytes moved: delta %d, full %d", deltaIncr, fullIncr)
+	h := f.Health()[0]
+	if h.Failures != 0 {
+		t.Fatalf("delta scrapes failed: %+v", h)
 	}
-	if deltaIncr*4 >= fullIncr {
-		t.Fatalf("delta path saved too little: %d bytes vs %d full-JSON bytes", deltaIncr, fullIncr)
+	deltaIncr := h.Bytes - deltaBase
+	if deltaIncr == 0 || jsonIncr == 0 {
+		t.Fatalf("no bytes moved: delta %d, json %d", deltaIncr, jsonIncr)
 	}
-	if !delta.Snapshot().Cube.EqualWithin(full.Snapshot().Cube, 0) {
-		t.Fatal("delta and full-JSON federators diverged")
+	if deltaIncr*4 >= jsonIncr {
+		t.Fatalf("delta path saved too little: %d bytes vs %d full-JSON bytes", deltaIncr, jsonIncr)
+	}
+	want, err := trace.Federate([]trace.JobCube{{Label: "job", Cube: c.Snapshot().Cube}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.Snapshot().Cube.EqualWithin(want, 0) {
+		t.Fatal("delta-scraped cube diverged from the endpoint's own")
 	}
 }
 
-// TestScrapeDeltaFallback: an endpoint without /delta (an older
-// collector build) must degrade to JSON scrapes transparently — and the
-// fallback must be sticky, not re-probed every round.
-func TestScrapeDeltaFallback(t *testing.T) {
+// TestScrapeDeltaUnsupportedFails: /delta is the only scrape path, so an
+// endpoint answering it with 404 fails like any broken endpoint — every
+// scrape is counted as a failure with the status as last_error, the
+// endpoint goes stale at MaxFailures and never contributes a cube, and
+// no JSON document is fetched instead.
+func TestScrapeDeltaUnsupportedFails(t *testing.T) {
 	c := monitor.NewCollector(monitor.Options{Shards: 1})
 	for _, e := range jobEvents(4, 0.3) {
 		c.Record(e)
 	}
 	inner := serve.NewHandler(c)
-	var deltaProbes atomic.Int64
+	var deltaProbes, otherRequests atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/delta" {
 			deltaProbes.Add(1)
 			http.NotFound(w, r)
 			return
 		}
+		otherRequests.Add(1)
 		inner.ServeHTTP(w, r)
 	}))
 	defer srv.Close()
 
-	f := newTestFederator(t, srv.URL, nil)
+	const maxFailures = 3
+	f := newTestFederator(t, srv.URL, func(o *Options) { o.MaxFailures = maxFailures })
 	ctx := context.Background()
-	f.ScrapeAll(ctx)
-	f.ScrapeAll(ctx)
-	f.ScrapeAll(ctx)
-	if probes := deltaProbes.Load(); probes != 1 {
-		t.Fatalf("delta endpoint probed %d times, want exactly 1 (sticky fallback)", probes)
+	for round := 1; round <= maxFailures+1; round++ {
+		f.ScrapeAll(ctx)
+		h := f.Health()[0]
+		if h.Scrapes != 0 || h.Failures != uint64(round) || h.ConsecutiveFailures != round {
+			t.Fatalf("round %d: 404 not counted as a failure: %+v", round, h)
+		}
+		if !strings.Contains(h.LastError, "status 404") {
+			t.Fatalf("round %d: last_error %q does not report the 404", round, h.LastError)
+		}
+		if wantStale := round >= maxFailures; h.Stale != wantStale {
+			t.Fatalf("round %d: stale = %v, want %v", round, h.Stale, wantStale)
+		}
+		if h.HasCube {
+			t.Fatalf("round %d: a 404 endpoint has a cube: %+v", round, h)
+		}
 	}
-	h := f.Health()[0]
-	if h.Delta {
-		t.Fatalf("health claims delta on a JSON-only endpoint: %+v", h)
+	if probes := deltaProbes.Load(); probes != maxFailures+1 {
+		t.Fatalf("/delta asked %d times, want once per scrape (%d)", probes, maxFailures+1)
 	}
-	if f.Snapshot().Cube == nil {
-		t.Fatal("JSON fallback produced no cube")
+	if n := otherRequests.Load(); n != 0 {
+		t.Fatalf("federator fetched %d non-/delta documents", n)
+	}
+	if f.Snapshot().Cube != nil {
+		t.Fatal("404 endpoint contributed a cube")
 	}
 }
 
@@ -159,12 +205,14 @@ func TestFederatorRestartMidDeltaStream(t *testing.T) {
 	f := newTestFederator(t, srv.URL, nil)
 	ctx := context.Background()
 
-	// Establish a delta chain: full doc, then an incremental.
+	// Establish a delta chain: full doc, then an incremental one, which
+	// must be smaller than the full document it patches.
 	f.ScrapeAll(ctx)
+	full := f.Health()[0].Bytes
 	c1.Record(trace.Event{Rank: 1, Region: "solve", Activity: "comp", Start: 8, End: 9})
 	f.ScrapeAll(ctx)
-	if h := f.Health()[0]; !h.Delta {
-		t.Fatalf("delta chain not established: %+v", h)
+	if h := f.Health()[0]; h.Scrapes != 2 || h.Bytes == full || h.Bytes-full >= full {
+		t.Fatalf("delta chain not established (full document %d bytes): %+v", full, h)
 	}
 
 	// Restart mid-stream: new boot nonce, fresh generations, different

@@ -3,25 +3,25 @@
 // instrumented jobs is analyzed as a single program — the way the paper
 // treats its P=16 run, scaled out to many cooperating processes.
 //
-// A Federator periodically scrapes each endpoint's /cube.json with a
-// per-request timeout. Failures are retried with exponential backoff plus
-// jitter; after MaxFailures consecutive failures an endpoint is marked
-// stale and its last cube is dropped from the aggregate instead of
-// poisoning it — the remaining endpoints keep serving a correct
-// cluster-wide view (graceful degradation), and the endpoint rejoins
-// automatically on its next successful scrape.
+// A Federator periodically scrapes each endpoint's /delta, the binary
+// LIFP snapshot transfer (internal/tracefmt), with a per-request timeout.
+// It names the generation it already holds, so an unchanged endpoint
+// answers 304 and a changed one ships only the cells and windows that
+// moved. Failures are retried with exponential backoff plus jitter; after
+// MaxFailures consecutive failures an endpoint is marked stale and its
+// last cube is dropped from the aggregate instead of poisoning it — the
+// remaining endpoints keep serving a correct cluster-wide view (graceful
+// degradation), and the endpoint rejoins automatically on its next
+// successful scrape.
 //
-// The Federator implements monitor.SnapshotSource, so the existing
-// exposition handlers (monitor.MetricsHandler, CubeHandler,
-// LorenzHandler) serve the federated cube unchanged; Handler wires them
-// onto a mux together with a /healthz that lists per-endpoint scrape
-// state.
+// The Federator is a serve.Source, so the shared exposition layer
+// (internal/serve) serves the federated snapshot exactly like a
+// collector's; Handler mounts it together with a /healthz that lists
+// per-endpoint scrape state.
 package federate
 
 import (
-	"compress/gzip"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -45,10 +45,8 @@ type Endpoint struct {
 	// regions in the federated cube ("name/region") and identifies it in
 	// /healthz and the federation metrics. Names must be unique.
 	Name string
-	// URL is the base URL of the monitor handler set, e.g.
-	// "http://node7:9190"; the federator scrapes URL + "/delta" (falling
-	// back to URL + "/cube.json" for endpoints without the binary
-	// protocol).
+	// URL is the base URL of the endpoint's serve.Mux, e.g.
+	// "http://node7:9190"; the federator scrapes URL + "/delta".
 	URL string
 	// Raw suppresses namespacing for this endpoint: its region names and
 	// per-region window keys enter the federated view verbatim instead of
@@ -65,6 +63,10 @@ type Options struct {
 	// Endpoints is the scrape target set; at least one is required.
 	Endpoints []Endpoint
 	// Interval is the poll period after a successful scrape. Default 2s.
+	// It also sets the retry backoff: Interval/4 after the first failure,
+	// doubling per consecutive failure up to 4*Interval, with jitter
+	// drawn from [delay/2, delay) so a restarted cluster's endpoints do
+	// not retry in lockstep.
 	Interval time.Duration
 	// Timeout bounds each scrape request. Default 5s.
 	Timeout time.Duration
@@ -72,11 +74,6 @@ type Options struct {
 	// which an endpoint is considered stale and excluded from the
 	// aggregate. Default 3.
 	MaxFailures int
-	// BackoffBase is the retry delay after the first failure; it doubles
-	// per consecutive failure up to BackoffMax, with jitter drawn from
-	// [delay/2, delay) so a restarted cluster's endpoints do not retry
-	// in lockstep. Defaults: Interval/4 and 4*Interval.
-	BackoffBase, BackoffMax time.Duration
 	// WindowCap bounds the merged window series the same way the
 	// collectors bound theirs: at most WindowCap ring windows at full
 	// resolution plus a decimated coarse tail of at most WindowCap
@@ -86,16 +83,10 @@ type Options struct {
 	// the federator unbounded. 0 means temporal.DefaultWindowCap;
 	// negative disables the cap.
 	WindowCap int
-	// DisableDelta turns off the binary /delta scrape path: every scrape
-	// uses the JSON documents (conditional on the ETag as before). The
-	// default — delta first, JSON fallback for endpoints that answer 404
-	// — moves only changed cells and windows on an up-to-date endpoint.
-	DisableDelta bool
-	// MaxBodyBytes bounds every scrape response body, compressed and
-	// decompressed, so a hostile or broken endpoint cannot OOM the
-	// federator. A response whose Content-Length or actual stream exceeds
-	// the bound fails the scrape. 0 means DefaultMaxBodyBytes; negative
-	// disables the bound.
+	// MaxBodyBytes bounds every scrape response body, so a hostile or
+	// broken endpoint cannot OOM the federator. A response whose
+	// Content-Length or actual stream exceeds the bound fails the scrape.
+	// 0 means DefaultMaxBodyBytes; negative disables the bound.
 	MaxBodyBytes int64
 	// Client overrides the HTTP client (tests inject httptest clients);
 	// the per-request Timeout is applied through the request context
@@ -110,19 +101,13 @@ type Options struct {
 // Federator.mu.
 type endpointState struct {
 	Endpoint
-	cube *trace.Cube // last successfully fetched cube, nil before
-	// windows is the endpoint's last window series (/windows.json); nil
-	// when the endpoint has windowing disabled or the fetch failed. It is
-	// fetched best-effort alongside the cube: cube availability drives
-	// endpoint health, window availability only the timeline view.
-	windows *temporal.Series
-	// etag is the snapshot entity tag the cube was fetched under
-	// (monitor.Snapshot.ETag: the endpoint's boot nonce and fold
-	// generation). The next scrape sends it as If-None-Match; an
+	// state is the endpoint snapshot last decoded from /delta — its
+	// (Boot, Gen) identity, cube and window series — or nil before the
+	// first success. The next scrape names its Boot/Gen in ?since=, so an
 	// unchanged endpoint answers 304 and the scrape costs a header
-	// exchange instead of a full document transfer and re-merge. Empty
-	// for endpoints that do not serve ETags.
-	etag        string
+	// exchange instead of a document transfer and re-merge. Decoded
+	// states are immutable: Snapshot shares them outside the lock.
+	state       *tracefmt.DeltaState
 	lastSuccess time.Time
 	lastAttempt time.Time
 	lastLatency time.Duration // duration of the most recent scrape attempt
@@ -131,14 +116,24 @@ type endpointState struct {
 	scrapes     uint64 // successful scrapes
 	failures    uint64 // failed scrapes
 	bytes       uint64 // response body bytes fetched (on the wire)
-	// jsonOnly marks an endpoint that answered /delta with 404/405: the
-	// scraper stops asking and uses the JSON documents. It resets when
-	// the endpoint's boot nonce changes — a restart may have brought a
-	// newer build that speaks the protocol.
-	jsonOnly bool
-	// usedDelta reports whether the most recent successful scrape went
-	// over the binary delta path.
-	usedDelta bool
+}
+
+// cube is the endpoint's last fetched cube, nil before any.
+func (s *endpointState) cube() *trace.Cube {
+	if s.state == nil {
+		return nil
+	}
+	return s.state.Cube
+}
+
+// windows is the endpoint's last fetched window series; nil when the
+// endpoint has windowing disabled. Cube availability drives endpoint
+// health, window availability only the timeline view.
+func (s *endpointState) windows() *temporal.Series {
+	if s.state == nil {
+		return nil
+	}
+	return s.state.Series
 }
 
 // Federator scrapes a set of monitor endpoints and serves their merged
@@ -148,11 +143,8 @@ type Federator struct {
 	timeout     time.Duration
 	maxFailures int
 	windowCap   int
-	backoffBase time.Duration
-	backoffMax  time.Duration
 	client      *http.Client
 	logf        func(string, ...any)
-	noDelta     bool
 	maxBody     int64
 	// boot is this federator incarnation's nonce: a federator is itself a
 	// snapshot publisher (another federator may scrape it), so its
@@ -182,11 +174,8 @@ func New(opts Options) (*Federator, error) {
 		timeout:     opts.Timeout,
 		maxFailures: opts.MaxFailures,
 		windowCap:   opts.WindowCap,
-		backoffBase: opts.BackoffBase,
-		backoffMax:  opts.BackoffMax,
 		client:      opts.Client,
 		logf:        opts.Logf,
-		noDelta:     opts.DisableDelta,
 		maxBody:     opts.MaxBodyBytes,
 		boot:        monitor.BootNonce(),
 	}
@@ -210,12 +199,6 @@ func New(opts Options) (*Federator, error) {
 	}
 	if f.maxFailures <= 0 {
 		f.maxFailures = 3
-	}
-	if f.backoffBase <= 0 {
-		f.backoffBase = f.interval / 4
-	}
-	if f.backoffMax <= 0 {
-		f.backoffMax = 4 * f.interval
 	}
 	if f.client == nil {
 		f.client = &http.Client{}
@@ -245,19 +228,9 @@ func New(opts Options) (*Federator, error) {
 }
 
 // DefaultMaxBodyBytes is the default per-response body bound: far above
-// any real cube or window series document, far below what it takes to
-// hurt the federator.
+// any real snapshot document, far below what it takes to hurt the
+// federator.
 const DefaultMaxBodyBytes = 64 << 20
-
-// cubeURL is the scrape target of one endpoint.
-func (s *endpointState) cubeURL() string {
-	return strings.TrimSuffix(s.URL, "/") + "/cube.json"
-}
-
-// windowsURL is the endpoint's window-series document.
-func (s *endpointState) windowsURL() string {
-	return strings.TrimSuffix(s.URL, "/") + "/windows.json"
-}
 
 // deltaURL is the endpoint's binary snapshot-transfer endpoint.
 func (s *endpointState) deltaURL() string {
@@ -270,65 +243,18 @@ func (s *endpointState) stale(maxFailures int) bool {
 	return s.consecutive >= maxFailures
 }
 
-// scrapeEndpoint fetches one endpoint's state and records the outcome.
-// The preferred path is the binary /delta endpoint: the scraper names the
-// generation it holds and receives only the cells and windows that
-// changed since (or a 304 when nothing did). Endpoints that do not serve
-// /delta fall back to the JSON documents, conditional on the ETag as
-// before, so either way an idle endpoint costs a header exchange.
+// scrapeEndpoint fetches one endpoint's state over /delta and records the
+// outcome. The scraper names the generation it holds and receives only
+// the cells and windows that changed since, or a 304 when nothing did.
 func (f *Federator) scrapeEndpoint(ctx context.Context, s *endpointState) error {
 	ctx, cancel := context.WithTimeout(ctx, f.timeout)
 	defer cancel()
 	attempt := time.Now()
 	f.mu.Lock()
-	prevETag := s.etag
-	tryDelta := !f.noDelta && !s.jsonOnly
-	base := &tracefmt.DeltaState{Cube: s.cube, Series: s.windows}
-	base.Boot, base.Gen, _ = parseETag(prevETag)
+	base := s.state
 	f.mu.Unlock()
 
-	var (
-		cube      *trace.Cube
-		windows   *temporal.Series
-		etag      string
-		unchanged bool
-		usedDelta bool
-		fetched   int64
-		err       error
-	)
-	if tryDelta {
-		var state *tracefmt.DeltaState
-		state, unchanged, fetched, err = f.fetchDelta(ctx, s.deltaURL(), base)
-		switch {
-		case errors.Is(err, errDeltaUnsupported):
-			// The endpoint predates the protocol: remember and fall back.
-			f.mu.Lock()
-			s.jsonOnly = true
-			f.mu.Unlock()
-			err = nil
-		case err == nil:
-			usedDelta = true
-			if !unchanged {
-				cube, windows = state.Cube, state.Series
-				etag = (&monitor.Snapshot{Boot: state.Boot, Gen: state.Gen}).ETag()
-			}
-		}
-	}
-	if !usedDelta && err == nil {
-		var n int64
-		cube, etag, unchanged, n, err = f.fetchCube(ctx, s.cubeURL(), prevETag)
-		fetched += n
-		if err == nil && !unchanged {
-			// The window series is optional: an endpoint with windowing
-			// disabled answers 503, an older endpoint 404. Neither makes
-			// the endpoint unhealthy — it just contributes no timeline. On
-			// 304 the fetch is skipped entirely: the snapshot ETag covers
-			// both documents, an unchanged snapshot means unchanged
-			// windows.
-			windows, n = f.fetchWindows(ctx, s.windowsURL())
-			fetched += n
-		}
-	}
+	state, fetched, err := f.fetchDelta(ctx, s.deltaURL(), base)
 	latency := time.Since(attempt)
 
 	f.mu.Lock()
@@ -358,255 +284,126 @@ func (f *Federator) scrapeEndpoint(ctx context.Context, s *endpointState) error 
 	s.lastError = ""
 	s.consecutive = 0
 	s.scrapes++
-	s.usedDelta = usedDelta
-	if unchanged {
-		// 304: the cached cube and windows are still this endpoint's
-		// current snapshot, so the merged view built from them stays valid
-		// and the merge generation must not advance — unless the endpoint
-		// had gone stale, in which case its (unchanged) cube just
-		// re-entered the aggregate.
+	if state == base {
+		// 304: the cached state is still this endpoint's current snapshot,
+		// so the merged view built from it stays valid and the merge
+		// generation must not advance — unless the endpoint had gone
+		// stale, in which case its (unchanged) cube just re-entered the
+		// aggregate.
 		if wasStale {
 			f.gen++
 		}
 		return nil
 	}
-	// A collector restart resets Snapshot.Gen, so a generation that goes
-	// backwards (or a boot nonce that changed) is a new incarnation, not
-	// new data from the old one. The refetched cube replaces the cached
-	// one below either way; the log makes the restart visible, and the
-	// generation bump guarantees the cached merged view is invalidated
-	// rather than re-served. A boot change also re-arms the delta path
-	// for an endpoint that had fallen back to JSON: the restart may have
-	// brought a build that speaks it.
-	if ob, og, ok := parseETag(prevETag); ok {
-		if nb, ng, ok2 := parseETag(etag); ok2 && (nb != ob || ng < og) {
-			f.logf("federate: endpoint %q restarted (snapshot generation %d after %d); invalidating its cached view",
-				s.Name, ng, og)
-			if nb != ob {
-				s.jsonOnly = false
-			}
-		}
+	// A collector restart resets its generation, so a generation that
+	// goes backwards (or a boot nonce that changed) is a new incarnation,
+	// not new data from the old one. The fetched state replaces the
+	// cached one below either way; the log makes the restart visible, and
+	// the generation bump guarantees the cached merged view is
+	// invalidated rather than re-served.
+	if base != nil && (state.Boot != base.Boot || state.Gen < base.Gen) {
+		f.logf("federate: endpoint %q restarted (snapshot generation %d after %d); invalidating its cached view",
+			s.Name, state.Gen, base.Gen)
 	}
-	s.cube = cube
-	s.windows = windows
-	s.etag = etag
+	s.state = state
 	// A fresh cube entered the aggregate (or replaced its predecessor).
 	f.gen++
 	return nil
 }
 
-// parseETag decodes a monitor snapshot entity tag ("b<boot>-g<gen>",
-// quoted) into its boot nonce and fold generation.
-func parseETag(tag string) (boot, gen uint64, ok bool) {
-	if _, err := fmt.Sscanf(tag, "\"b%x-g%d\"", &boot, &gen); err != nil {
-		return 0, 0, false
-	}
-	return boot, gen, true
-}
-
-// errDeltaUnsupported marks an endpoint that does not serve /delta.
-var errDeltaUnsupported = errors.New("federate: endpoint does not serve /delta")
-
 // errBodyTooLarge marks a response body that exceeded MaxBodyBytes.
 var errBodyTooLarge = errors.New("federate: response body exceeds MaxBodyBytes")
 
-// countingReader counts the bytes read from the underlying stream — the
-// wire bytes, before any content decoding.
-type countingReader struct {
-	r io.Reader
-	n int64
+// boundedBody counts the bytes read from a response body and errors
+// (rather than silently truncating, as io.LimitReader would) once more
+// than max bytes come through.
+type boundedBody struct {
+	r      io.Reader
+	n, max int64
 }
 
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// boundedReader errors (rather than silently truncating, as
-// io.LimitReader would) once more than max bytes come through.
-type boundedReader struct {
-	r         io.Reader
-	remaining int64
-}
-
-func (b *boundedReader) Read(p []byte) (int, error) {
-	if b.remaining < 0 {
+func (b *boundedBody) Read(p []byte) (int, error) {
+	if b.n > b.max {
 		return 0, errBodyTooLarge
 	}
 	n, err := b.r.Read(p)
-	b.remaining -= int64(n)
-	if b.remaining < 0 {
+	b.n += int64(n)
+	if b.n > b.max {
 		return n, errBodyTooLarge
 	}
 	return n, err
 }
 
-// body wraps a response body in the byte counter and the size bound, and
-// transparently decodes a gzip content coding — bounding the decompressed
-// stream too, so a compression bomb fails at MaxBodyBytes either way.
-// It returns the reader to decode from; counter.n accumulates the bytes
-// on the wire.
-func (f *Federator) body(resp *http.Response, counter *countingReader) (io.Reader, error) {
-	if resp.ContentLength > f.maxBody {
-		return nil, fmt.Errorf("%w (Content-Length %d > %d)", errBodyTooLarge, resp.ContentLength, f.maxBody)
-	}
-	counter.r = resp.Body
-	var r io.Reader = &boundedReader{r: counter, remaining: f.maxBody}
-	if resp.Header.Get("Content-Encoding") == "gzip" {
-		gz, err := gzip.NewReader(r)
-		if err != nil {
-			return nil, err
-		}
-		r = &boundedReader{r: gz, remaining: f.maxBody}
-	}
-	return r, nil
-}
-
-// fetchDelta asks the endpoint's /delta for everything since the base
-// state the caller holds. It returns unchanged=true on 304 (the base is
-// current), a decoded state on 200, errDeltaUnsupported on 404/405 (old
-// endpoint), and bytes as counted on the wire. If the server answers
-// with a delta the client cannot apply (a race around eviction), one
-// full refetch is attempted before giving up.
-func (f *Federator) fetchDelta(ctx context.Context, url string, base *tracefmt.DeltaState) (state *tracefmt.DeltaState, unchanged bool, bytes int64, err error) {
-	get := func(since string) (*tracefmt.DeltaState, bool, int64, error) {
+// fetchDelta asks the endpoint's /delta for everything since base, the
+// state the caller holds (nil before the first success). It returns base
+// itself on 304 (nothing changed), the decoded state on 200, and the
+// body bytes as counted on the wire; any other answer is an error. If
+// the server answers with a delta the client cannot apply (a race around
+// eviction), one full refetch is attempted before giving up.
+func (f *Federator) fetchDelta(ctx context.Context, url string, base *tracefmt.DeltaState) (*tracefmt.DeltaState, int64, error) {
+	get := func(since string) (*tracefmt.DeltaState, int64, error) {
 		target := url
 		if since != "" {
 			target += "?since=" + since
 		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
 		if err != nil {
-			return nil, false, 0, err
+			return nil, 0, err
 		}
 		resp, err := f.client.Do(req)
 		if err != nil {
-			return nil, false, 0, err
+			return nil, 0, err
 		}
 		defer resp.Body.Close()
-		var counter countingReader
 		switch resp.StatusCode {
 		case http.StatusNotModified:
-			return nil, true, 0, nil
-		case http.StatusNotFound, http.StatusMethodNotAllowed:
-			_, _ = io.CopyN(io.Discard, resp.Body, 512)
-			return nil, false, 0, errDeltaUnsupported
+			return base, 0, nil
 		case http.StatusOK:
 		default:
+			// Drain a little so the connection can be reused, then report.
 			_, _ = io.CopyN(io.Discard, resp.Body, 512)
-			return nil, false, 0, fmt.Errorf("GET %s: status %d", target, resp.StatusCode)
+			return nil, 0, fmt.Errorf("GET %s: status %d", target, resp.StatusCode)
 		}
-		body, err := f.body(resp, &counter)
-		if err != nil {
-			return nil, false, counter.n, fmt.Errorf("GET %s: %w", target, err)
+		if resp.ContentLength > f.maxBody {
+			return nil, 0, fmt.Errorf("GET %s: %w (Content-Length %d > %d)",
+				target, errBodyTooLarge, resp.ContentLength, f.maxBody)
 		}
+		body := &boundedBody{r: resp.Body, max: f.maxBody}
 		doc, err := io.ReadAll(body)
 		if err != nil {
-			return nil, false, counter.n, fmt.Errorf("GET %s: %w", target, err)
+			return nil, body.n, fmt.Errorf("GET %s: %w", target, err)
 		}
 		st, err := tracefmt.DecodeSnapshot(doc, base)
 		if err != nil {
-			return nil, false, counter.n, fmt.Errorf("GET %s: %w", target, err)
+			return nil, body.n, fmt.Errorf("GET %s: %w", target, err)
 		}
-		return st, false, counter.n, nil
+		return st, body.n, nil
 	}
 	since := ""
-	if base.Boot != 0 {
+	if base != nil && base.Boot != 0 {
 		since = fmt.Sprintf("b%x-g%d", base.Boot, base.Gen)
 	}
-	state, unchanged, bytes, err = get(since)
+	state, bytes, err := get(since)
 	if errors.Is(err, tracefmt.ErrDeltaBase) && since != "" {
 		// The server sent a delta against a base we no longer hold (or
 		// vice versa); one unconditional fetch gets a full document.
 		var n int64
-		state, unchanged, n, err = get("")
+		state, n, err = get("")
 		bytes += n
 	}
-	return state, unchanged, bytes, err
-}
-
-// fetchCube performs the HTTP GET and decodes the cube. etag, when
-// non-empty, makes the request conditional (If-None-Match); a 304 answer
-// returns unchanged=true with a nil cube, meaning the caller's cached
-// cube is still current. The request negotiates a gzip content coding:
-// cube JSON is highly compressible, and the body bound applies to both
-// the wire and the decompressed stream.
-func (f *Federator) fetchCube(ctx context.Context, url, etag string) (cube *trace.Cube, newETag string, unchanged bool, bytes int64, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, "", false, 0, err
-	}
-	if etag != "" {
-		req.Header.Set("If-None-Match", etag)
-	}
-	req.Header.Set("Accept-Encoding", "gzip")
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return nil, "", false, 0, err
-	}
-	defer resp.Body.Close()
-	var counter countingReader
-	if resp.StatusCode == http.StatusNotModified {
-		_, _ = io.CopyN(io.Discard, resp.Body, 512)
-		return nil, etag, true, 0, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		// Drain a little so the connection can be reused, then report.
-		_, _ = io.CopyN(io.Discard, resp.Body, 512)
-		return nil, "", false, 0, fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
-	}
-	body, err := f.body(resp, &counter)
-	if err != nil {
-		return nil, "", false, counter.n, fmt.Errorf("GET %s: %w", url, err)
-	}
-	cube, err = tracefmt.ReadCubeJSON(body)
-	if err != nil {
-		return nil, "", false, counter.n, fmt.Errorf("GET %s: %w", url, err)
-	}
-	return cube, resp.Header.Get("ETag"), false, counter.n, nil
-}
-
-// fetchWindows fetches and decodes an endpoint's window series. A
-// non-200 answer (windowing disabled, older endpoint) or a decode error
-// returns a nil series: absent windows are a capability, not a failure.
-// The wire byte count is returned either way.
-func (f *Federator) fetchWindows(ctx context.Context, url string) (*temporal.Series, int64) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, 0
-	}
-	req.Header.Set("Accept-Encoding", "gzip")
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return nil, 0
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.CopyN(io.Discard, resp.Body, 512)
-		return nil, 0
-	}
-	var counter countingReader
-	body, err := f.body(resp, &counter)
-	if err != nil {
-		return nil, counter.n
-	}
-	var ser temporal.Series
-	if err := json.NewDecoder(body).Decode(&ser); err != nil {
-		return nil, counter.n
-	}
-	return &ser, counter.n
+	return state, bytes, err
 }
 
 // backoff returns the jittered retry delay after n consecutive failures
-// (n >= 1): base doubled per failure, capped, then drawn from
-// [delay/2, delay) so synchronized failers spread out.
+// (n >= 1): Interval/4 doubled per failure, capped at 4*Interval, then
+// drawn from [delay/2, delay) so synchronized failers spread out.
 func (f *Federator) backoff(n int) time.Duration {
-	d := f.backoffBase
-	for i := 1; i < n && d < f.backoffMax; i++ {
+	d, limit := f.interval/4, 4*f.interval
+	for i := 1; i < n && d < limit; i++ {
 		d *= 2
 	}
-	if d > f.backoffMax {
-		d = f.backoffMax
+	if d > limit {
+		d = limit
 	}
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
@@ -682,7 +479,7 @@ func (f *Federator) Snapshot() *monitor.Snapshot {
 	var rankLabels []string
 	haveWindows := false
 	for _, s := range f.states {
-		if s.cube != nil && !s.stale(f.maxFailures) {
+		if s.cube() != nil && !s.stale(f.maxFailures) {
 			// A Raw endpoint (a lower federation tier) already namespaced
 			// its regions; an empty label makes trace.Federate and
 			// temporal.Merge take its names verbatim, so a tree's root
@@ -693,7 +490,7 @@ func (f *Federator) Snapshot() *monitor.Snapshot {
 			}
 			// Cubes and series are immutable once fetched; sharing the
 			// pointers outside the lock is safe.
-			jobs = append(jobs, trace.JobCube{Label: label, Cube: s.cube})
+			jobs = append(jobs, trace.JobCube{Label: label, Cube: s.cube()})
 			// The job's rank slots in the merged series are its cube's
 			// processors — the same offsets trace.Federate applies, so
 			// window ranks and federated cube ranks coincide. An endpoint
@@ -701,16 +498,16 @@ func (f *Federator) Snapshot() *monitor.Snapshot {
 			// namespaces the job's per-region keys in the merged series
 			// the way trace.Federate namespaces its cube regions.
 			winJobs = append(winJobs, temporal.JobWindows{
-				Procs:  s.cube.NumProcs(),
-				Series: s.windows,
+				Procs:  s.cube().NumProcs(),
+				Series: s.windows(),
 				Label:  label,
 			})
 			// Diagnosis findings name ranks in the merged rank space;
 			// job-local labels ("name/3") keep them attributable.
-			for r := 0; r < s.cube.NumProcs(); r++ {
+			for r := 0; r < s.cube().NumProcs(); r++ {
 				rankLabels = append(rankLabels, fmt.Sprintf("%s/%d", s.Name, r))
 			}
-			if s.windows != nil {
+			if s.windows() != nil {
 				haveWindows = true
 			}
 		}
@@ -796,16 +593,13 @@ type EndpointHealth struct {
 	LastSuccess string `json:"last_success,omitempty"`
 	LastAttempt string `json:"last_attempt,omitempty"`
 	// ScrapeMillis is the duration of the most recent scrape attempt in
-	// milliseconds — the cube fetch plus, on success, the window fetch.
+	// milliseconds.
 	ScrapeMillis float64 `json:"scrape_ms"`
 	// Bytes is the total response body bytes fetched from the endpoint,
-	// counted on the wire (before any content decoding). Delta scraping
-	// shows up here: mostly-unchanged endpoints cost orders of magnitude
-	// fewer bytes than full-JSON refetches.
+	// counted on the wire. Delta scraping shows up here: a
+	// mostly-unchanged endpoint costs a 304 or a few cells per scrape,
+	// not its whole snapshot.
 	Bytes uint64 `json:"bytes"`
-	// Delta reports whether the most recent successful scrape used the
-	// binary /delta protocol (false: the JSON fallback).
-	Delta bool `json:"delta"`
 	// LastError is the most recent scrape error, empty after a success.
 	LastError string `json:"last_error,omitempty"`
 }
@@ -820,14 +614,13 @@ func (f *Federator) Health() []EndpointHealth {
 			Name:                s.Name,
 			URL:                 s.URL,
 			Stale:               s.stale(f.maxFailures),
-			HasCube:             s.cube != nil,
-			HasWindows:          s.windows != nil,
+			HasCube:             s.cube() != nil,
+			HasWindows:          s.windows() != nil,
 			ConsecutiveFailures: s.consecutive,
 			Scrapes:             s.scrapes,
 			Failures:            s.failures,
 			ScrapeMillis:        float64(s.lastLatency) / float64(time.Millisecond),
 			Bytes:               s.bytes,
-			Delta:               s.usedDelta,
 			LastError:           s.lastError,
 		}
 		if !s.lastSuccess.IsZero() {

@@ -450,21 +450,22 @@ func TestRunLoopPolls(t *testing.T) {
 	}
 }
 
-// TestBackoffBounds: the retry delay grows exponentially from the base,
-// caps at the maximum and stays within the jitter envelope [d/2, d].
+// TestBackoffBounds: the retry delay grows exponentially from
+// Interval/4, caps at 4*Interval and stays within the jitter envelope
+// [d/2, d].
 func TestBackoffBounds(t *testing.T) {
+	const interval = 400 * time.Millisecond
 	f, err := New(Options{
-		Endpoints:   []Endpoint{{Name: "a", URL: "http://localhost:1"}},
-		BackoffBase: 100 * time.Millisecond,
-		BackoffMax:  time.Second,
+		Endpoints: []Endpoint{{Name: "a", URL: "http://localhost:1"}},
+		Interval:  interval,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n := 1; n <= 8; n++ {
-		want := 100 * time.Millisecond << (n - 1)
-		if want > time.Second {
-			want = time.Second
+		want := interval / 4 << (n - 1)
+		if want > 4*interval {
+			want = 4 * interval
 		}
 		for trial := 0; trial < 50; trial++ {
 			got := f.backoff(n)
@@ -494,5 +495,18 @@ func TestNewValidation(t *testing.T) {
 	}
 	if got := f.Health()[0].Name; got != "node7:9190" {
 		t.Errorf("derived endpoint name = %q, want node7:9190", got)
+	}
+}
+
+// TestFederationMetricsEscaping: endpoint names reach /metrics as label
+// values, escaped the way the Prometheus text format defines — only
+// backslash, double quote and newline — not with Go's %q rules, which
+// would turn a tab into the invalid escape \t.
+func TestFederationMetricsEscaping(t *testing.T) {
+	var buf strings.Builder
+	writeFederationMetrics(&buf, []EndpointHealth{{Name: "rack\t\"a\"\\1", Scrapes: 2}})
+	want := MetricEndpointScrapes + "{endpoint=\"rack\t\\\"a\\\"\\\\1\"} 2\n"
+	if !strings.Contains(buf.String(), want) {
+		t.Fatalf("metrics lack %q:\n%s", want, buf.String())
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 
+	"loadimb/internal/monitor"
 	"loadimb/internal/serve"
 )
 
@@ -19,7 +20,6 @@ const (
 	MetricEndpointConsecutive = "loadimb_fed_endpoint_consecutive_failures"
 	MetricEndpointLatency     = "loadimb_fed_endpoint_scrape_seconds"
 	MetricEndpointBytes       = "loadimb_fed_endpoint_bytes_total"
-	MetricEndpointDelta       = "loadimb_fed_endpoint_delta"
 )
 
 // healthzPayload is the /healthz document: an overall status plus the
@@ -96,53 +96,43 @@ func Handler(f *Federator) http.Handler {
 // writeFederationMetrics renders the scrape-state families in Prometheus
 // text format.
 func writeFederationMetrics(w io.Writer, eps []EndpointHealth) {
+	m := monitor.NewMetricsWriter(w)
 	stale := 0
 	for _, ep := range eps {
 		if ep.Stale {
 			stale++
 		}
 	}
-	fmt.Fprintf(w, "# HELP %s Endpoints configured for federation.\n# TYPE %s gauge\n", MetricEndpoints, MetricEndpoints)
-	fmt.Fprintf(w, "%s %d\n", MetricEndpoints, len(eps))
-	fmt.Fprintf(w, "# HELP %s Endpoints currently stale (excluded from the aggregate).\n# TYPE %s gauge\n", MetricEndpointsStale, MetricEndpointsStale)
-	fmt.Fprintf(w, "%s %d\n", MetricEndpointsStale, stale)
+	m.Family(MetricEndpoints, "Endpoints configured for federation.", "gauge")
+	m.Sample(float64(len(eps)))
+	m.Family(MetricEndpointsStale, "Endpoints currently stale (excluded from the aggregate).", "gauge")
+	m.Sample(float64(stale))
 	families := []struct {
 		name, help, typ string
-		value           func(EndpointHealth) uint64
+		value           func(EndpointHealth) float64
 	}{
 		{MetricEndpointStale, "Whether the endpoint is stale (1) or live (0).", "gauge",
-			func(ep EndpointHealth) uint64 {
+			func(ep EndpointHealth) float64 {
 				if ep.Stale {
 					return 1
 				}
 				return 0
 			}},
 		{MetricEndpointScrapes, "Successful scrapes of the endpoint.", "counter",
-			func(ep EndpointHealth) uint64 { return ep.Scrapes }},
+			func(ep EndpointHealth) float64 { return float64(ep.Scrapes) }},
 		{MetricEndpointFailures, "Failed scrapes of the endpoint.", "counter",
-			func(ep EndpointHealth) uint64 { return ep.Failures }},
+			func(ep EndpointHealth) float64 { return float64(ep.Failures) }},
 		{MetricEndpointConsecutive, "Consecutive scrape failures since the last success.", "gauge",
-			func(ep EndpointHealth) uint64 { return uint64(ep.ConsecutiveFailures) }},
+			func(ep EndpointHealth) float64 { return float64(ep.ConsecutiveFailures) }},
 		{MetricEndpointBytes, "Response body bytes fetched from the endpoint.", "counter",
-			func(ep EndpointHealth) uint64 { return ep.Bytes }},
-		{MetricEndpointDelta, "Whether the endpoint speaks the binary delta protocol (1) or JSON (0).", "gauge",
-			func(ep EndpointHealth) uint64 {
-				if ep.Delta {
-					return 1
-				}
-				return 0
-			}},
+			func(ep EndpointHealth) float64 { return float64(ep.Bytes) }},
+		{MetricEndpointLatency, "Duration of the endpoint's most recent scrape attempt.", "gauge",
+			func(ep EndpointHealth) float64 { return ep.ScrapeMillis / 1000 }},
 	}
 	for _, fam := range families {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.typ)
+		m.Family(fam.name, fam.help, fam.typ)
 		for _, ep := range eps {
-			// %q escapes backslashes, quotes and newlines the way the
-			// Prometheus text format expects.
-			fmt.Fprintf(w, "%s{endpoint=%q} %d\n", fam.name, ep.Name, fam.value(ep))
+			m.Sample(fam.value(ep), monitor.Label("endpoint", ep.Name))
 		}
-	}
-	fmt.Fprintf(w, "# HELP %s Duration of the endpoint's most recent scrape attempt.\n# TYPE %s gauge\n", MetricEndpointLatency, MetricEndpointLatency)
-	for _, ep := range eps {
-		fmt.Fprintf(w, "%s{endpoint=%q} %g\n", MetricEndpointLatency, ep.Name, ep.ScrapeMillis/1000)
 	}
 }

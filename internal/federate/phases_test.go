@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"loadimb/internal/monitor"
+	"loadimb/internal/serve"
 	"loadimb/internal/temporal"
 	"loadimb/internal/tracefmt"
 )
@@ -89,25 +90,29 @@ func TestFederatedOverlongWindowsDegradeTimeline(t *testing.T) {
 	goodSrv := startWindowedEndpoint(t, good, 0.5)
 
 	// The bad endpoint's cube declares 2 processors but its window series
-	// carries nonzero busy time on a third rank.
+	// declares 3 and carries nonzero busy time on the third rank. It
+	// ships both in one LIFP full document on /delta.
 	bad := monitor.NewCollector(monitor.Options{Window: 0.5})
 	for _, e := range jobEvents(2, 0.3) {
 		bad.Record(e)
 	}
 	badSnap := bad.Snapshot()
 	badSeries := *badSnap.Series
+	badSeries.Procs = 3
 	badSeries.Windows = append([]temporal.WindowVector(nil), badSeries.Windows...)
 	w0 := badSeries.Windows[0]
 	w0.ProcSeconds = append(append([]float64(nil), w0.ProcSeconds...), 0.25)
 	badSeries.Windows[0] = w0
-	mux := http.NewServeMux()
-	mux.HandleFunc("/cube.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = tracefmt.WriteCubeJSON(w, badSnap.Cube)
+	doc, err := tracefmt.EncodeSnapshotFull(&tracefmt.DeltaState{
+		Boot: badSnap.Boot, Gen: badSnap.Gen, Cube: badSnap.Cube, Series: &badSeries,
 	})
-	mux.HandleFunc("/windows.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(&badSeries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/delta", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", serve.DeltaContentType)
+		_, _ = w.Write(doc)
 	})
 	badSrv := httptest.NewServer(mux)
 	t.Cleanup(badSrv.Close)

@@ -201,34 +201,44 @@ func (s *IngestServer) acceptLoop(ln net.Listener) {
 			// stream listeners we use.
 			return
 		}
-		s.connWG.Add(1)
-		go s.handle(conn)
+		ic := s.register(conn)
+		if ic == nil {
+			return
+		}
+		go s.handle(ic)
 	}
 }
 
-// handle drains one connection: handshake, frames, events into this
-// connection's producer ring. Decode errors terminate the connection (the
-// stream is corrupt beyond resync) but never the server.
-func (s *IngestServer) handle(conn net.Conn) {
-	defer s.connWG.Done()
-	defer conn.Close()
+// register records an accepted connection under the lock Close sweeps
+// with, so either Close sees it (closes it and waits for its handler) or
+// the server is already closed and the connection is dropped here — it
+// returns nil then. connWG.Add therefore never races Close's Wait, and
+// no handler outlives Close.
+func (s *IngestServer) register(conn net.Conn) *ingestConn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		_ = conn.Close()
+		return nil
+	}
 	ic := &ingestConn{
 		id:   s.connSeq.Add(1),
 		addr: conn.RemoteAddr().String(),
 		conn: conn,
+		p:    s.c.Producer(ProducerOptions{Ring: s.opts.Ring, DropOnFull: s.opts.DropOnFull}),
 	}
-	s.mu.Lock()
-	if s.closed {
-		// Close() already swept s.conns; registering now would leave a
-		// connection it never closes, hanging connWG.Wait() until the
-		// remote peer goes away. Drop the connection instead.
-		s.mu.Unlock()
-		return
-	}
-	ic.p = s.c.Producer(ProducerOptions{Ring: s.opts.Ring, DropOnFull: s.opts.DropOnFull})
 	s.conns[ic.id] = ic
-	s.mu.Unlock()
+	s.connWG.Add(1)
 	s.connsActive.Add(1)
+	return ic
+}
+
+// handle drains one registered connection: handshake, frames, events
+// into the connection's producer ring. Decode errors terminate the
+// connection (the stream is corrupt beyond resync) but never the server.
+func (s *IngestServer) handle(ic *ingestConn) {
+	defer s.connWG.Done()
+	defer ic.conn.Close()
 	defer func() {
 		ic.p.Close()
 		s.droppedGone.Add(ic.p.Dropped())
@@ -241,7 +251,7 @@ func (s *IngestServer) handle(conn net.Conn) {
 
 	// No bufio here: NewWireDecoder buffers the stream itself, and a
 	// second layer would just add one more copy per byte on the hot path.
-	cr := &countingReader{r: conn, n: &s.bytes}
+	cr := &countingReader{r: ic.conn, n: &s.bytes}
 	dec := tracefmt.NewWireDecoder(cr)
 	sp := slabPool.Get().(*[]trace.Event)
 	batch := *sp
@@ -327,7 +337,7 @@ func (s *IngestServer) Events() uint64 { return s.events.Load() }
 // errors, ring drops and backpressure stalls, plus per-active-connection
 // event/drop/stall counters labeled by connection id and remote address.
 func (s *IngestServer) WriteMetrics(w io.Writer) error {
-	m := &writer{w: w}
+	m := NewMetricsWriter(w)
 	var dropped, stalls uint64
 	s.mu.Lock()
 	conns := make([]*ingestConn, 0, len(s.conns))
@@ -342,31 +352,41 @@ func (s *IngestServer) WriteMetrics(w io.Writer) error {
 		stalls += ic.p.Stalls()
 	}
 
-	m.header(MetricIngestConnsTotal, "Ingest connections accepted.", "counter")
-	m.sample(MetricIngestConnsTotal, nil, float64(s.connSeq.Load()))
-	m.header(MetricIngestConnsActive, "Ingest connections currently open.", "gauge")
-	m.sample(MetricIngestConnsActive, nil, float64(s.connsActive.Load()))
-	m.header(MetricIngestEventsTotal, "Events decoded from ingest connections.", "counter")
-	m.sample(MetricIngestEventsTotal, nil, float64(s.events.Load()))
-	m.header(MetricIngestBatchesTotal, "Wire frames decoded from ingest connections.", "counter")
-	m.sample(MetricIngestBatchesTotal, nil, float64(s.batches.Load()))
-	m.header(MetricIngestBytesTotal, "Bytes read from ingest connections.", "counter")
-	m.sample(MetricIngestBytesTotal, nil, float64(s.bytes.Load()))
-	m.header(MetricIngestDecodeErrors, "Ingest connections terminated by a corrupt stream.", "counter")
-	m.sample(MetricIngestDecodeErrors, nil, float64(s.decodeErrors.Load()))
-	m.header(MetricIngestDroppedTotal, "Events dropped because a connection's ring was full.", "counter")
-	m.sample(MetricIngestDroppedTotal, nil, float64(dropped))
-	m.header(MetricIngestStallsTotal, "Backpressure stall episodes across ingest connections.", "counter")
-	m.sample(MetricIngestStallsTotal, nil, float64(stalls))
-	if len(conns) > 0 {
-		m.header(MetricIngestConnEvents, "Events decoded from each open connection.", "counter")
-		m.header(MetricIngestConnDropped, "Ring-overflow drops of each open connection.", "counter")
-		m.header(MetricIngestConnStalls, "Backpressure stalls of each open connection.", "counter")
+	m.Family(MetricIngestConnsTotal, "Ingest connections accepted.", "counter")
+	m.Sample(float64(s.connSeq.Load()))
+	m.Family(MetricIngestConnsActive, "Ingest connections currently open.", "gauge")
+	m.Sample(float64(s.connsActive.Load()))
+	m.Family(MetricIngestEventsTotal, "Events decoded from ingest connections.", "counter")
+	m.Sample(float64(s.events.Load()))
+	m.Family(MetricIngestBatchesTotal, "Wire frames decoded from ingest connections.", "counter")
+	m.Sample(float64(s.batches.Load()))
+	m.Family(MetricIngestBytesTotal, "Bytes read from ingest connections.", "counter")
+	m.Sample(float64(s.bytes.Load()))
+	m.Family(MetricIngestDecodeErrors, "Ingest connections terminated by a corrupt stream.", "counter")
+	m.Sample(float64(s.decodeErrors.Load()))
+	m.Family(MetricIngestDroppedTotal, "Events dropped because a connection's ring was full.", "counter")
+	m.Sample(float64(dropped))
+	m.Family(MetricIngestStallsTotal, "Backpressure stall episodes across ingest connections.", "counter")
+	m.Sample(float64(stalls))
+	if len(conns) == 0 {
+		return m.err
+	}
+	// Per-connection families, each one group over the open connections.
+	for _, fam := range []struct {
+		name, help string
+		value      func(*ingestConn) uint64
+	}{
+		{MetricIngestConnEvents, "Events decoded from each open connection.",
+			func(ic *ingestConn) uint64 { return ic.events.Load() }},
+		{MetricIngestConnDropped, "Ring-overflow drops of each open connection.",
+			func(ic *ingestConn) uint64 { return ic.p.Dropped() }},
+		{MetricIngestConnStalls, "Backpressure stalls of each open connection.",
+			func(ic *ingestConn) uint64 { return ic.p.Stalls() }},
+	} {
+		m.Family(fam.name, fam.help, "counter")
 		for _, ic := range conns {
-			lbls := []string{label("conn", strconv.FormatUint(ic.id, 10)), label("addr", ic.addr)}
-			m.sample(MetricIngestConnEvents, lbls, float64(ic.events.Load()))
-			m.sample(MetricIngestConnDropped, lbls, float64(ic.p.Dropped()))
-			m.sample(MetricIngestConnStalls, lbls, float64(ic.p.Stalls()))
+			m.Sample(float64(fam.value(ic)),
+				Label("conn", strconv.FormatUint(ic.id, 10)), Label("addr", ic.addr))
 		}
 	}
 	return m.err

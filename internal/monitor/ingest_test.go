@@ -1,10 +1,12 @@
 package monitor
 
 import (
+	"io"
 	"math"
 	"math/rand"
 	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -259,7 +261,7 @@ func TestIngestHostileEvents(t *testing.T) {
 }
 
 // TestIngestHandleAfterClose: a connection accepted just before Close
-// swept the registry must be dropped by handle, not registered — a late
+// swept the registry must be dropped, not registered — a late
 // registration would leave a conn nothing ever closes, hanging
 // connWG.Wait (and so Close) until the remote peer went away.
 func TestIngestHandleAfterClose(t *testing.T) {
@@ -270,17 +272,80 @@ func TestIngestHandleAfterClose(t *testing.T) {
 	}
 	client, server := net.Pipe()
 	defer client.Close()
-	srv.connWG.Add(1)
-	done := make(chan struct{})
-	go func() {
-		srv.handle(server)
-		close(done)
-	}()
-	// The peer (client side) never sends and never closes: handle must
-	// still return promptly by refusing the registration.
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("handle hung on a connection accepted during shutdown")
+	if ic := srv.register(server); ic != nil {
+		t.Fatalf("connection registered after Close: %+v", ic)
+	}
+	// The peer (client side) never sends and never closes: the refused
+	// connection must be closed on the server side, not left open.
+	_ = client.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := client.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("refused connection not closed: read err %v", err)
+	}
+}
+
+// TestIngestCloseRacesAccept: connections dialed while Close runs must
+// either be served and closed with the server or dropped at accept — the
+// accept loop must never grow connWG while Close waits on it (a
+// WaitGroup-reuse panic) or leave a handler running after Close returns.
+// Run under -race; the goroutine count must return to its baseline.
+func TestIngestCloseRacesAccept(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for round := 0; round < 20; round++ {
+		srv := NewIngestServer(NewCollector(Options{}), IngestOptions{Ring: 64})
+		addr, err := srv.Listen("tcp:127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var mu sync.Mutex
+		var clients []net.Conn
+		var dialers sync.WaitGroup
+		for d := 0; d < 4; d++ {
+			dialers.Add(1)
+			go func() {
+				defer dialers.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					conn, err := net.Dial("tcp", addr.String())
+					if err != nil {
+						continue
+					}
+					mu.Lock()
+					clients = append(clients, conn)
+					mu.Unlock()
+				}
+			}()
+		}
+		// Let some connections land, then close in the middle of the dial
+		// storm.
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.connSeq.Load() < 4 && time.Now().Before(deadline) {
+			time.Sleep(100 * time.Microsecond)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		dialers.Wait()
+		for _, conn := range clients {
+			_ = conn.Close()
+		}
+		srv.mu.Lock()
+		open := len(srv.conns)
+		srv.mu.Unlock()
+		if open != 0 {
+			t.Fatalf("round %d: %d connections still registered after Close", round, open)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after the Close/accept races, baseline %d", n, base)
 	}
 }

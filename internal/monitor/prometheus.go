@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"loadimb/internal/stats"
 	"loadimb/internal/temporal"
 )
 
@@ -42,28 +43,41 @@ const (
 	MetricDiagScore     = "loadimb_diag_score"
 )
 
-// writer accumulates Prometheus text-format lines, remembering the first
-// write error so call sites stay linear.
-type writer struct {
-	w   io.Writer
-	err error
+// A MetricsWriter renders Prometheus text-format (version 0.0.4) metric
+// families. Family opens a family with its HELP and TYPE lines and the
+// Sample calls that follow belong to it, so every family's samples form
+// the one contiguous group the format requires. The first write error is
+// remembered so call sites stay linear. Every /metrics family in the
+// repository goes through this writer.
+type MetricsWriter struct {
+	w      io.Writer
+	family string
+	err    error
 }
 
-func (m *writer) printf(format string, args ...any) {
+// NewMetricsWriter returns a writer appending to w.
+func NewMetricsWriter(w io.Writer) *MetricsWriter {
+	return &MetricsWriter{w: w}
+}
+
+func (m *MetricsWriter) printf(format string, args ...any) {
 	if m.err != nil {
 		return
 	}
 	_, m.err = fmt.Fprintf(m.w, format, args...)
 }
 
-// header emits the HELP/TYPE preamble of one metric family.
-func (m *writer) header(name, help, typ string) {
+// Family opens the metric family name: its HELP/TYPE preamble now, its
+// samples through the Sample calls up to the next Family.
+func (m *MetricsWriter) Family(name, help, typ string) {
+	m.family = name
 	m.printf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// sample emits one sample line. Non-finite values are skipped: Prometheus
-// would accept NaN but a NaN gauge only poisons downstream queries.
-func (m *writer) sample(name string, labels []string, v float64) {
+// Sample emits one sample of the open family; labels are Label pairs.
+// Non-finite values are skipped: Prometheus would accept NaN but a NaN
+// gauge only poisons downstream queries.
+func (m *MetricsWriter) Sample(v float64, labels ...string) {
 	if m.err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
@@ -71,13 +85,16 @@ func (m *writer) sample(name string, labels []string, v float64) {
 	if len(labels) > 0 {
 		lbl = "{" + strings.Join(labels, ",") + "}"
 	}
-	m.printf("%s%s %s\n", name, lbl, strconv.FormatFloat(v, 'g', -1, 64))
+	m.printf("%s%s %s\n", m.family, lbl, strconv.FormatFloat(v, 'g', -1, 64))
 }
 
-// label renders one escaped key="value" pair.
-func label(key, value string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return key + `="` + r.Replace(value) + `"`
+// labelEscaper applies the text format's label-value escaping.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// Label renders one key="value" pair, escaping backslashes, double
+// quotes and newlines in the value as the text format requires.
+func Label(key, value string) string {
+	return key + `="` + labelEscaper.Replace(value) + `"`
 }
 
 // WriteMetrics renders the snapshot in the Prometheus text exposition
@@ -88,11 +105,11 @@ func label(key, value string) string {
 // with core.Analyze on the snapshot cube exactly (they are computed by
 // the same view functions).
 func WriteMetrics(w io.Writer, snap *Snapshot) error {
-	m := &writer{w: w}
-	m.header(MetricEventsTotal, "Events recorded by the collector.", "counter")
-	m.sample(MetricEventsTotal, nil, float64(snap.Events))
-	m.header(MetricDroppedTotal, "Malformed events rejected by the collector.", "counter")
-	m.sample(MetricDroppedTotal, nil, float64(snap.Dropped))
+	m := NewMetricsWriter(w)
+	m.Family(MetricEventsTotal, "Events recorded by the collector.", "counter")
+	m.Sample(float64(snap.Events))
+	m.Family(MetricDroppedTotal, "Malformed events rejected by the collector.", "counter")
+	m.Sample(float64(snap.Dropped))
 	cube := snap.Cube
 	if cube == nil || cube.ProgramTime() <= 0 {
 		// Nothing measured yet: serve the counters only.
@@ -100,36 +117,36 @@ func WriteMetrics(w io.Writer, snap *Snapshot) error {
 	}
 	regions, activities := cube.Regions(), cube.Activities()
 
-	m.header(MetricProcs, "Processors observed in the trace.", "gauge")
-	m.sample(MetricProcs, nil, float64(cube.NumProcs()))
-	m.header(MetricProgramTime, "Wall clock time T of the program so far.", "gauge")
-	m.sample(MetricProgramTime, nil, cube.ProgramTime())
-	m.header(MetricInstrumented, "Wall clock time of the instrumented regions.", "gauge")
-	m.sample(MetricInstrumented, nil, cube.RegionsTotal())
+	m.Family(MetricProcs, "Processors observed in the trace.", "gauge")
+	m.Sample(float64(cube.NumProcs()))
+	m.Family(MetricProgramTime, "Wall clock time T of the program so far.", "gauge")
+	m.Sample(cube.ProgramTime())
+	m.Family(MetricInstrumented, "Wall clock time of the instrumented regions.", "gauge")
+	m.Sample(cube.RegionsTotal())
 
-	m.header(MetricRegionSeconds, "Wall clock time t_i of each code region.", "gauge")
+	m.Family(MetricRegionSeconds, "Wall clock time t_i of each code region.", "gauge")
 	for i, name := range regions {
 		t, err := cube.RegionTime(i)
 		if err != nil {
 			return err
 		}
-		m.sample(MetricRegionSeconds, []string{label("region", name)}, t)
+		m.Sample(t, Label("region", name))
 	}
-	m.header(MetricActSeconds, "Wall clock time T_j of each activity.", "gauge")
+	m.Family(MetricActSeconds, "Wall clock time T_j of each activity.", "gauge")
 	for j, name := range activities {
 		t, err := cube.ActivityTime(j)
 		if err != nil {
 			return err
 		}
-		m.sample(MetricActSeconds, []string{label("activity", name)}, t)
+		m.Sample(t, Label("activity", name))
 	}
-	m.header(MetricProcSeconds, "Total instrumented time of each processor.", "gauge")
+	m.Family(MetricProcSeconds, "Total instrumented time of each processor.", "gauge")
 	for p := 0; p < cube.NumProcs(); p++ {
 		t, err := cube.ProcTotalTime(p)
 		if err != nil {
 			return err
 		}
-		m.sample(MetricProcSeconds, []string{label("proc", strconv.Itoa(p))}, t)
+		m.Sample(t, Label("proc", strconv.Itoa(p)))
 	}
 
 	// The dispersion views, computed once per snapshot by the same code
@@ -139,101 +156,111 @@ func WriteMetrics(w io.Writer, snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	m.header(MetricIDCell, "Index of dispersion ID_ij of cell (region, activity).", "gauge")
+	m.Family(MetricIDCell, "Index of dispersion ID_ij of cell (region, activity).", "gauge")
 	for i := range views.Cells {
 		for j := range views.Cells[i] {
 			if !views.Cells[i][j].Defined {
 				continue
 			}
-			m.sample(MetricIDCell,
-				[]string{label("region", regions[i]), label("activity", activities[j])},
-				views.Cells[i][j].ID)
+			m.Sample(views.Cells[i][j].ID, Label("region", regions[i]), Label("activity", activities[j]))
 		}
 	}
-	m.header(MetricIDActivity, "Activity-view index of dispersion ID_A.", "gauge")
-	m.header(MetricSIDActivity, "Scaled activity-view index SID_A.", "gauge")
+	// An index and its scaled variant are two families, so each takes
+	// its own pass over the view.
+	m.Family(MetricIDActivity, "Activity-view index of dispersion ID_A.", "gauge")
 	for _, a := range views.Activities {
-		if !a.Defined {
-			continue
+		if a.Defined {
+			m.Sample(a.ID, Label("activity", a.Name))
 		}
-		m.sample(MetricIDActivity, []string{label("activity", a.Name)}, a.ID)
-		m.sample(MetricSIDActivity, []string{label("activity", a.Name)}, a.SID)
 	}
-	m.header(MetricIDRegion, "Code-region-view index of dispersion ID_C.", "gauge")
-	m.header(MetricSIDRegion, "Scaled code-region-view index SID_C.", "gauge")
+	m.Family(MetricSIDActivity, "Scaled activity-view index SID_A.", "gauge")
+	for _, a := range views.Activities {
+		if a.Defined {
+			m.Sample(a.SID, Label("activity", a.Name))
+		}
+	}
+	m.Family(MetricIDRegion, "Code-region-view index of dispersion ID_C.", "gauge")
 	for _, r := range views.Regions {
-		if !r.Defined {
-			continue
+		if r.Defined {
+			m.Sample(r.ID, Label("region", r.Name))
 		}
-		m.sample(MetricIDRegion, []string{label("region", r.Name)}, r.ID)
-		m.sample(MetricSIDRegion, []string{label("region", r.Name)}, r.SID)
 	}
-	m.header(MetricIDProc, "Processor-view dispersion ID_P of (region, processor).", "gauge")
+	m.Family(MetricSIDRegion, "Scaled code-region-view index SID_C.", "gauge")
+	for _, r := range views.Regions {
+		if r.Defined {
+			m.Sample(r.SID, Label("region", r.Name))
+		}
+	}
+	m.Family(MetricIDProc, "Processor-view dispersion ID_P of (region, processor).", "gauge")
 	for i := range views.Processors.ByRegion {
 		for p := range views.Processors.ByRegion[i] {
 			d := views.Processors.ByRegion[i][p]
 			if !d.Defined {
 				continue
 			}
-			m.sample(MetricIDProc,
-				[]string{label("region", regions[i]), label("proc", strconv.Itoa(p))},
-				d.ID)
+			m.Sample(d.ID, Label("region", regions[i]), Label("proc", strconv.Itoa(p)))
 		}
 	}
-	m.header(MetricGini, "Gini coefficient of the per-processor total times.", "gauge")
-	m.sample(MetricGini, nil, giniOf(snap.ProcTotals()))
+	m.Family(MetricGini, "Gini coefficient of the per-processor total times.", "gauge")
+	m.Sample(giniOf(snap.ProcTotals()))
 
-	// Per-cell event-duration statistics from the streaming accumulators.
-	m.header(MetricCellEvents, "Events folded into cell (region, activity).", "counter")
-	m.header(MetricCellDurMean, "Mean event duration of cell (region, activity).", "gauge")
-	m.header(MetricCellDurStddev, "Event duration standard deviation of cell (region, activity).", "gauge")
-	for i := range snap.CellStats {
-		for j := range snap.CellStats[i] {
-			acc := snap.CellStats[i][j]
-			if acc.N() == 0 {
-				continue
+	// Per-cell event-duration statistics from the streaming accumulators,
+	// one family per statistic.
+	for _, fam := range []struct {
+		name, help, typ string
+		value           func(stats.Accumulator) float64
+	}{
+		{MetricCellEvents, "Events folded into cell (region, activity).", "counter",
+			func(acc stats.Accumulator) float64 { return float64(acc.N()) }},
+		{MetricCellDurMean, "Mean event duration of cell (region, activity).", "gauge",
+			stats.Accumulator.Mean},
+		{MetricCellDurStddev, "Event duration standard deviation of cell (region, activity).", "gauge",
+			stats.Accumulator.StdDev},
+	} {
+		m.Family(fam.name, fam.help, fam.typ)
+		for i := range snap.CellStats {
+			for j := range snap.CellStats[i] {
+				if acc := snap.CellStats[i][j]; acc.N() > 0 {
+					m.Sample(fam.value(acc), Label("region", regions[i]), Label("activity", activities[j]))
+				}
 			}
-			lbls := []string{label("region", regions[i]), label("activity", activities[j])}
-			m.sample(MetricCellEvents, lbls, float64(acc.N()))
-			m.sample(MetricCellDurMean, lbls, acc.Mean())
-			m.sample(MetricCellDurStddev, lbls, acc.StdDev())
 		}
 	}
 
 	if len(snap.Windows) > 0 {
 		last := snap.Windows[len(snap.Windows)-1]
-		m.header(MetricWindowID, "Dispersion of per-processor load in the latest window.", "gauge")
+		m.Family(MetricWindowID, "Dispersion of per-processor load in the latest window.", "gauge")
 		if last.ID != nil {
 			// An all-idle window has no defined dispersion; omitting the
 			// sample beats serving a misleading 0 ("perfectly balanced").
-			m.sample(MetricWindowID, []string{label("window", strconv.Itoa(last.Index))}, *last.ID)
+			m.Sample(*last.ID, Label("window", strconv.Itoa(last.Index)))
 		}
-		m.header(MetricWindowGini, "Gini of per-processor load in the latest window.", "gauge")
-		m.sample(MetricWindowGini, []string{label("window", strconv.Itoa(last.Index))}, last.Gini)
+		m.Family(MetricWindowGini, "Gini of per-processor load in the latest window.", "gauge")
+		m.Sample(last.Gini, Label("window", strconv.Itoa(last.Index)))
 	}
 
 	// Live phase detection: the streaming PELT segmentation of the window
 	// trajectory (see /phases.json for the full boundary history).
 	if len(snap.Phases) > 0 {
 		current := snap.Phases[len(snap.Phases)-1]
-		m.header(MetricPhaseCurrent, "1 for the label of the phase the run is currently in, 0 for the others.", "gauge")
+		m.Family(MetricPhaseCurrent, "1 for the label of the phase the run is currently in, 0 for the others.", "gauge")
 		for _, l := range []string{temporal.LabelIdle, temporal.LabelQuiet, temporal.LabelHot} {
 			v := 0.0
 			if l == current.Label {
 				v = 1
 			}
-			m.sample(MetricPhaseCurrent, []string{label("label", l)}, v)
+			m.Sample(v, Label("label", l))
 		}
-		m.header(MetricPhaseChanges, "Phase boundaries detected in the trajectory so far.", "counter")
-		m.sample(MetricPhaseChanges, nil, float64(len(snap.Phases)-1))
-		m.header(MetricPhaseSeconds, "Virtual time spent in phases of each label so far.", "gauge")
+		m.Family(MetricPhaseChanges, "Phase boundaries detected in the trajectory so far.", "counter")
+		m.Sample(float64(len(snap.Phases) - 1))
+		m.Family(MetricPhaseSeconds, "Virtual time spent in phases of each label so far.", "gauge")
 		bylabel := map[string]float64{}
 		for _, ph := range snap.Phases {
 			bylabel[ph.Label] += ph.End - ph.Start
 		}
 		for _, l := range []string{temporal.LabelIdle, temporal.LabelQuiet, temporal.LabelHot} {
 			if t, ok := bylabel[l]; ok {
-				m.sample(MetricPhaseSeconds, []string{label("label", l)}, t)
+				m.Sample(t, Label("label", l))
 			}
 		}
 	}
@@ -241,27 +268,27 @@ func WriteMetrics(w io.Writer, snap *Snapshot) error {
 	// Automatic diagnosis: the rank-similarity findings, memoized per
 	// fold generation like the views above.
 	if rep := snap.Diagnosis(); rep != nil {
-		m.header(MetricDiagOutliers, "Distinct ranks currently flagged as diverged from their cohort.", "gauge")
+		m.Family(MetricDiagOutliers, "Distinct ranks currently flagged as diverged from their cohort.", "gauge")
 		distinct := map[int]bool{}
 		for _, f := range rep.Findings {
 			distinct[f.Rank] = true
 		}
-		m.sample(MetricDiagOutliers, nil, float64(len(distinct)))
-		m.header(MetricDiagCohorts, "Rank-similarity cohorts detected in each phase.", "gauge")
+		m.Sample(float64(len(distinct)))
+		m.Family(MetricDiagCohorts, "Rank-similarity cohorts detected in each phase.", "gauge")
 		for _, pd := range rep.Phases {
-			m.sample(MetricDiagCohorts, []string{label("phase", strconv.Itoa(pd.Phase))}, float64(len(pd.Cohorts)))
+			m.Sample(float64(len(pd.Cohorts)), Label("phase", strconv.Itoa(pd.Phase)))
 		}
-		m.header(MetricDiagScore, "Divergence score (pooled-scatter units) of each finding.", "gauge")
+		m.Family(MetricDiagScore, "Divergence score (pooled-scatter units) of each finding.", "gauge")
 		for _, f := range rep.Findings {
 			rank := strconv.Itoa(f.Rank)
 			if f.RankLabel != "" {
 				rank = f.RankLabel
 			}
-			lbls := []string{label("rank", rank), label("phase", strconv.Itoa(f.Phase))}
+			lbls := []string{Label("rank", rank), Label("phase", strconv.Itoa(f.Phase))}
 			if len(f.Dominant) > 0 {
-				lbls = append(lbls, label("dominant", f.Dominant[0].Dimension))
+				lbls = append(lbls, Label("dominant", f.Dominant[0].Dimension))
 			}
-			m.sample(MetricDiagScore, lbls, f.Score)
+			m.Sample(f.Score, lbls...)
 		}
 	}
 	return m.err

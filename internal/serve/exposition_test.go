@@ -32,11 +32,26 @@ func unescapeLabel(s string) string {
 }
 
 // parseExposition parses Prometheus text format strictly: every
-// non-comment line must be a well-formed sample with a finite value, and
-// every sample must be preceded by a TYPE declaration of its family.
+// non-comment line must be a well-formed sample with a finite value,
+// every sample must be preceded by a TYPE declaration of its family, and
+// each family's lines (HELP, TYPE, samples) must form one contiguous
+// group — a family declared twice, or whose lines reappear after another
+// family's, is rejected.
 func parseExposition(t *testing.T, text string) []sample {
 	t.Helper()
 	typed := map[string]string{}
+	closed := map[string]bool{}
+	current := ""
+	group := func(n int, family string) {
+		if family == current {
+			return
+		}
+		if closed[family] {
+			t.Fatalf("line %d: family %q reappears after family %q; its samples must form one group", n+1, family, current)
+		}
+		closed[current] = true
+		current = family
+	}
 	var out []sample
 	for n, line := range strings.Split(text, "\n") {
 		if line == "" {
@@ -47,19 +62,26 @@ func parseExposition(t *testing.T, text string) []sample {
 			if len(fields) != 4 || (fields[3] != "gauge" && fields[3] != "counter") {
 				t.Fatalf("line %d: malformed TYPE: %q", n+1, line)
 			}
+			if _, dup := typed[fields[2]]; dup {
+				t.Fatalf("line %d: family %q declared twice", n+1, fields[2])
+			}
+			group(n, fields[2])
 			typed[fields[2]] = fields[3]
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
-			if !strings.HasPrefix(line, "# HELP ") {
+			fields := strings.Fields(line)
+			if !strings.HasPrefix(line, "# HELP ") || len(fields) < 3 {
 				t.Fatalf("line %d: unexpected comment %q", n+1, line)
 			}
+			group(n, fields[2])
 			continue
 		}
 		m := lineRe.FindStringSubmatch(line)
 		if m == nil {
 			t.Fatalf("line %d: not a valid sample: %q", n+1, line)
 		}
+		group(n, m[1])
 		typ, ok := typed[m[1]]
 		if !ok {
 			t.Fatalf("line %d: sample %q has no TYPE declaration", n+1, m[1])

@@ -9,7 +9,6 @@ package serve
 import (
 	"compress/gzip"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
@@ -35,9 +34,9 @@ type Source interface {
 
 // serveCached stamps the snapshot's ETag on the response and, when the
 // request's If-None-Match already names it, answers 304 Not Modified and
-// reports true — the incremental-scrape fast path: a federation poll of
-// an idle endpoint costs a header exchange, not a reserialization of the
-// whole document.
+// reports true — the conditional-GET fast path: a client polling an idle
+// endpoint costs a header exchange, not a reserialization of the whole
+// document.
 func serveCached(w http.ResponseWriter, r *http.Request, snap *monitor.Snapshot) bool {
 	tag := snap.ETag()
 	if tag == "" {
@@ -94,17 +93,28 @@ func writeJSON(w http.ResponseWriter, r *http.Request, v any) {
 	_ = enc.Encode(v)
 }
 
-// MetricsHandler serves the Prometheus text exposition of the source's
+// metricsHandler serves the Prometheus text exposition of the source's
 // snapshot: every paper index (ID_ij, ID_A/SID_A, ID_C/SID_C, ID_P), the
-// Gini coefficient, the cube marginals and the collector counters.
-func MetricsHandler(src Source) http.HandlerFunc {
+// Gini coefficient, the cube marginals and the collector counters, behind
+// the configured extra families (WithMetricsPrefix) and followed by the
+// rebalance and ingest families when those are attached.
+func metricsHandler(src Source, cfg *config) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap := src.Snapshot()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if cfg.metricsPrefix != nil {
+			cfg.metricsPrefix(w)
+		}
 		if err := monitor.WriteMetrics(w, snap); err != nil {
 			// Headers are already sent; the scraper will see a
 			// truncated body and retry.
 			return
+		}
+		if cfg.rebalance != nil {
+			writeRebalanceMetrics(w, cfg.rebalance.Snapshot())
+		}
+		if cfg.ingest != nil {
+			_ = cfg.ingest.WriteMetrics(w)
 		}
 	}
 }
@@ -178,11 +188,11 @@ func TimelineHandler(src Source, window float64) http.HandlerFunc {
 }
 
 // WindowsHandler serves the snapshot's raw window series — per-window
-// per-processor busy vectors rather than summaries. This is the document
-// the federation layer scrapes and merges (when the binary /delta path is
-// unavailable): summaries cannot be combined across jobs, busy vectors
-// can, so cluster-wide per-window indices come out exact. It answers 503
-// while windowing is disabled.
+// per-processor busy vectors rather than summaries — as JSON for people
+// and tools. Summaries cannot be combined across jobs, busy vectors can:
+// the federation layer merges the same series, transferred over /delta,
+// so cluster-wide per-window indices come out exact. It answers 503 while
+// windowing is disabled.
 func WindowsHandler(src Source) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap := src.Snapshot()
@@ -321,32 +331,27 @@ func RebalanceHandler(src RebalanceSource) http.HandlerFunc {
 // writeRebalanceMetrics writes the loadimb_rebalance_* Prometheus
 // families for the controller's current statistics.
 func writeRebalanceMetrics(w io.Writer, s rebalance.Stats) {
-	label := fmt.Sprintf("{policy=%q}", s.Policy)
-	fmt.Fprintf(w, "# HELP loadimb_rebalance_rounds_total Boundaries at which the controller planned migrations.\n")
-	fmt.Fprintf(w, "# TYPE loadimb_rebalance_rounds_total counter\n")
-	fmt.Fprintf(w, "loadimb_rebalance_rounds_total%s %d\n", label, s.Rounds)
-	fmt.Fprintf(w, "# HELP loadimb_rebalance_migrations_total Individual work moves shipped by the rebalancer.\n")
-	fmt.Fprintf(w, "# TYPE loadimb_rebalance_migrations_total counter\n")
-	fmt.Fprintf(w, "loadimb_rebalance_migrations_total%s %d\n", label, s.Migrations)
-	fmt.Fprintf(w, "# HELP loadimb_rebalance_migrated_seconds_total Load shipped by the rebalancer, in virtual seconds.\n")
-	fmt.Fprintf(w, "# TYPE loadimb_rebalance_migrated_seconds_total counter\n")
-	fmt.Fprintf(w, "loadimb_rebalance_migrated_seconds_total%s %g\n", label, s.Migrated)
-	fmt.Fprintf(w, "# HELP loadimb_rebalance_achieved_id Latest measured Euclidean ID_P at a rebalancing boundary.\n")
-	fmt.Fprintf(w, "# TYPE loadimb_rebalance_achieved_id gauge\n")
-	fmt.Fprintf(w, "loadimb_rebalance_achieved_id%s %g\n", label, s.AchievedID)
-	fmt.Fprintf(w, "# HELP loadimb_rebalance_target Target ID_P the controller drives toward.\n")
-	fmt.Fprintf(w, "# TYPE loadimb_rebalance_target gauge\n")
-	fmt.Fprintf(w, "loadimb_rebalance_target%s %g\n", label, s.Target)
-	converged := 0
+	m := monitor.NewMetricsWriter(w)
+	policy := monitor.Label("policy", s.Policy)
+	converged := 0.0
 	if s.Converged {
 		converged = 1
 	}
-	fmt.Fprintf(w, "# HELP loadimb_rebalance_converged Whether a boundary measurement has reached the target (1) yet.\n")
-	fmt.Fprintf(w, "# TYPE loadimb_rebalance_converged gauge\n")
-	fmt.Fprintf(w, "loadimb_rebalance_converged%s %d\n", label, converged)
-	fmt.Fprintf(w, "# HELP loadimb_rebalance_rounds_to_target Rebalancing rounds needed to first reach the target; -1 until then.\n")
-	fmt.Fprintf(w, "# TYPE loadimb_rebalance_rounds_to_target gauge\n")
-	fmt.Fprintf(w, "loadimb_rebalance_rounds_to_target%s %d\n", label, s.RoundsToTarget)
+	for _, fam := range []struct {
+		name, help, typ string
+		value           float64
+	}{
+		{"loadimb_rebalance_rounds_total", "Boundaries at which the controller planned migrations.", "counter", float64(s.Rounds)},
+		{"loadimb_rebalance_migrations_total", "Individual work moves shipped by the rebalancer.", "counter", float64(s.Migrations)},
+		{"loadimb_rebalance_migrated_seconds_total", "Load shipped by the rebalancer, in virtual seconds.", "counter", s.Migrated},
+		{"loadimb_rebalance_achieved_id", "Latest measured Euclidean ID_P at a rebalancing boundary.", "gauge", s.AchievedID},
+		{"loadimb_rebalance_target", "Target ID_P the controller drives toward.", "gauge", s.Target},
+		{"loadimb_rebalance_converged", "Whether a boundary measurement has reached the target (1) yet.", "gauge", converged},
+		{"loadimb_rebalance_rounds_to_target", "Rebalancing rounds needed to first reach the target; -1 until then.", "gauge", float64(s.RoundsToTarget)},
+	} {
+		m.Family(fam.name, fam.help, fam.typ)
+		m.Sample(fam.value, policy)
+	}
 }
 
 // Mux assembles the exposition endpoint set over an arbitrary source:
@@ -355,17 +360,18 @@ func writeRebalanceMetrics(w io.Writer, s rebalance.Stats) {
 //	/cube.json      the measurement cube (tracefmt JSON)
 //	/lorenz.json    Lorenz curve of the per-processor total times
 //	/timeline.json  windowed imbalance trajectory (temporal analysis)
-//	/windows.json   raw per-window busy vectors (federation merge input)
+//	/windows.json   raw per-window busy vectors (the mergeable series)
 //	/phases.json    phase detection over the window trajectory
 //	/diagnose.json  automatic diagnosis (rank cohorts + divergence findings)
-//	/delta          binary LIFP snapshot transfer (incremental scrapes)
+//	/delta          binary LIFP snapshot transfer (what federators scrape)
 //	/healthz        liveness probe (always 200 unless WithHealth overrides)
 //	/               index page (404-on-subpath; WithIndex overrides)
 //
 // JSON endpoints answer 304 on a matching If-None-Match and gzip their
-// bodies when the client sends Accept-Encoding: gzip. The same mux serves
-// a live collector and a federator, which is what makes federation trees
-// compose: every tier exposes the identical surface.
+// bodies when the client sends Accept-Encoding: gzip; they serve people,
+// dashboards and `imba -in`. A federator scrapes only /delta. The same
+// mux serves a live collector and a federator, which is what makes
+// federation trees compose: every tier exposes the identical surface.
 func Mux(src Source, opts ...Option) *http.ServeMux {
 	var cfg config
 	for _, o := range opts {
@@ -381,28 +387,7 @@ func Mux(src Source, opts ...Option) *http.ServeMux {
 		}
 	}
 	mux.HandleFunc("/healthz", health)
-	switch {
-	case cfg.ingest == nil && cfg.metricsPrefix == nil && cfg.rebalance == nil:
-		mux.Handle("/metrics", MetricsHandler(src))
-	default:
-		ing, prefix, reb := cfg.ingest, cfg.metricsPrefix, cfg.rebalance
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			snap := src.Snapshot()
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if prefix != nil {
-				prefix(w)
-			}
-			if err := monitor.WriteMetrics(w, snap); err != nil {
-				return
-			}
-			if reb != nil {
-				writeRebalanceMetrics(w, reb.Snapshot())
-			}
-			if ing != nil {
-				_ = ing.WriteMetrics(w)
-			}
-		})
-	}
+	mux.Handle("/metrics", metricsHandler(src, &cfg))
 	if cfg.rebalance != nil {
 		mux.Handle("/rebalance.json", RebalanceHandler(cfg.rebalance))
 	}

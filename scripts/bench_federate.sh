@@ -1,19 +1,20 @@
 #!/bin/sh
-# Record the federation scrape benchmarks into BENCH_federate.json so the
-# wire cost of fleet-scale federation is tracked across commits (see
-# ISSUE 9). BenchmarkFederateScrape stands up 100 simulated collector
-# endpoints behind one server and measures a steady-state scrape round
-# where a single endpoint changed — once over the binary LIFP /delta
-# protocol, once forced through full-JSON documents. Acceptance floor:
+# Record the federation scrape benchmark into BENCH_federate.json so the
+# wire cost of fleet-scale federation is tracked across commits.
+# BenchmarkFederateScrape stands up 100 simulated collector endpoints
+# behind one server and measures a steady-state /delta scrape round where
+# a single endpoint changed. Acceptance floor:
 #
-#   - delta scraping must move >= 10x fewer body bytes per round than
-#     full-JSON scraping (derived field delta_bytes_reduction).
+#   - a delta round must move >= 10x fewer body bytes than refetching the
+#     changed endpoint's gzip'd /cube.json + /windows.json would (derived
+#     field delta_bytes_reduction); the script fails below it.
 #
 # wire_B/op is total response body bytes fetched per scrape round (as
 # counted by the federator's own per-endpoint byte counters, i.e. what
-# actually crossed the wire, gzip included); p99_ms is the
-# 99th-percentile per-endpoint scrape latency; bytes_per_sec is the
-# steady-state delta-path wire rate implied by one round per interval.
+# actually crossed the wire); json_B/op is the changed endpoint's gzip'd
+# JSON documents per round; p99_ms is the 99th-percentile per-endpoint
+# scrape latency; bytes_per_sec is the steady-state wire rate implied by
+# one round per interval.
 #
 # Usage: scripts/bench_federate.sh [output.json]
 set -eu
@@ -35,12 +36,13 @@ BEGIN { n = 0 }
 		if ($3 + 0 < best[name] + 0) { keep = 1 }
 	} else {
 		names[n++] = name; keep = 1
-		wireb[name] = "null"; p99[name] = "null"
+		wireb[name] = "null"; jsonb[name] = "null"; p99[name] = "null"
 	}
 	if (keep) {
 		best[name] = $3; iters[name] = $2
 		for (i = 4; i < NF; i++) {
 			if ($(i + 1) == "wire_B/op") wireb[name] = $i
+			if ($(i + 1) == "json_B/op") jsonb[name] = $i
 			if ($(i + 1) == "p99_ms") p99[name] = $i
 		}
 	}
@@ -49,20 +51,23 @@ END {
 	printf "{\n  \"suite\": \"federate\",\n  \"go\": \"%s\",\n  \"endpoints\": 100,\n  \"benchmarks\": [\n", go_version
 	for (i = 0; i < n; i++) {
 		name = names[i]
-		printf "    {\"name\": \"%s\", \"iters\": %s, \"ns_per_op\": %s, \"wire_bytes_per_round\": %s, \"p99_scrape_ms\": %s}%s\n", \
-			name, iters[name], best[name], wireb[name], p99[name], (i < n - 1 ? "," : "")
+		printf "    {\"name\": \"%s\", \"iters\": %s, \"ns_per_op\": %s, \"wire_bytes_per_round\": %s, \"json_bytes_per_round\": %s, \"p99_scrape_ms\": %s}%s\n", \
+			name, iters[name], best[name], wireb[name], jsonb[name], p99[name], (i < n - 1 ? "," : "")
 	}
 	printf "  ],\n  \"derived\": {\n"
-	dns = best["BenchmarkFederateScrape/delta"]
-	db = wireb["BenchmarkFederateScrape/delta"]
-	jb = wireb["BenchmarkFederateScrape/json"]
+	dns = best["BenchmarkFederateScrape"]
+	db = wireb["BenchmarkFederateScrape"]
+	jb = jsonb["BenchmarkFederateScrape"]
 	printf "    \"delta_bytes_reduction\": %.1f,\n", jb / db
 	printf "    \"delta_wire_bytes_per_round\": %.0f,\n", db
 	printf "    \"json_wire_bytes_per_round\": %.0f,\n", jb
 	printf "    \"delta_bytes_per_sec\": %.0f,\n", db * 1e9 / dns
-	printf "    \"delta_p99_scrape_ms\": %s,\n", p99["BenchmarkFederateScrape/delta"]
-	printf "    \"json_p99_scrape_ms\": %s\n", p99["BenchmarkFederateScrape/json"]
+	printf "    \"delta_p99_scrape_ms\": %s\n", p99["BenchmarkFederateScrape"]
 	printf "  }\n}\n"
+	if (jb / db < 10) {
+		printf "delta_bytes_reduction %.1f below the 10x floor\n", jb / db > "/dev/stderr"
+		exit 1
+	}
 }' > "$out"
 
 echo "wrote $out:"
