@@ -381,7 +381,7 @@ func (f *Federator) fetchDelta(ctx context.Context, url string, base *tracefmt.D
 	}
 	since := ""
 	if base != nil && base.Boot != 0 {
-		since = fmt.Sprintf("b%x-g%d", base.Boot, base.Gen)
+		since = tracefmt.SnapshotTag(base.Boot, base.Gen)
 	}
 	state, bytes, err := get(since)
 	if errors.Is(err, tracefmt.ErrDeltaBase) && since != "" {

@@ -153,7 +153,7 @@ func TestProducerEquivalence(t *testing.T) {
 
 	producers := make([]*Producer, ranks)
 	for r := range producers {
-		producers[r] = prod.Producer(ProducerOptions{Ring: 1 << 12})
+		producers[r] = prod.Producer(ProducerOptions{})
 	}
 	for _, e := range events {
 		ref.Record(e)
@@ -184,15 +184,15 @@ func TestProducerEquivalence(t *testing.T) {
 // collector's event accounting.
 func TestProducerDropOnFull(t *testing.T) {
 	c := NewCollector(Options{Shards: 1})
-	p := c.Producer(ProducerOptions{Ring: 8, DropOnFull: true})
-	events := batchEvents(rand.New(rand.NewSource(5)), 100, 1, false)
+	p := c.Producer(ProducerOptions{DropOnFull: true})
+	events := batchEvents(rand.New(rand.NewSource(5)), DefaultIngestRing+92, 1, false)
 	p.RecordBatch(events)
 	if p.Dropped() != 92 {
 		t.Fatalf("dropped %d events, want 92", p.Dropped())
 	}
 	snap := c.Snapshot()
-	if snap.Events != 8 {
-		t.Fatalf("snapshot has %d events, want the 8 that fit the ring", snap.Events)
+	if snap.Events != DefaultIngestRing {
+		t.Fatalf("snapshot has %d events, want the %d that fit the ring", snap.Events, DefaultIngestRing)
 	}
 	if c.Dropped() != 0 {
 		t.Fatalf("ring drops leaked into the malformed-event counter: %d", c.Dropped())
@@ -201,11 +201,11 @@ func TestProducerDropOnFull(t *testing.T) {
 
 // TestProducerBackpressure: in blocking mode nothing is lost — the
 // producer stalls until the consumer folds the ring, so every event
-// arrives even through a ring far smaller than the batch.
+// arrives even from a batch of more than two rings.
 func TestProducerBackpressure(t *testing.T) {
 	c := NewCollector(Options{Shards: 1})
-	p := c.Producer(ProducerOptions{Ring: 8})
-	events := batchEvents(rand.New(rand.NewSource(6)), 1000, 1, false)
+	p := c.Producer(ProducerOptions{})
+	events := batchEvents(rand.New(rand.NewSource(6)), 2*DefaultIngestRing+1000, 1, false)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -251,9 +251,9 @@ func TestProducerDropsMalformed(t *testing.T) {
 // allocations at all.
 func TestProducerRecordBatchAllocs(t *testing.T) {
 	c := NewCollector(Options{Shards: 1})
-	// A ring big enough that AllocsPerRun's warmup call plus every measured
-	// run fit without a drain (and therefore without ever stalling).
-	p := c.Producer(ProducerOptions{Ring: 1 << 16})
+	// AllocsPerRun's warmup call plus every measured run fit the ring
+	// without a drain (and therefore without ever stalling).
+	p := c.Producer(ProducerOptions{})
 	batch := batchEvents(rand.New(rand.NewSource(7)), 512, 4, false)
 	allocs := testing.AllocsPerRun(100, func() {
 		p.RecordBatch(batch)
@@ -289,7 +289,7 @@ func TestSteadyStateFoldAllocs(t *testing.T) {
 // settles to zero allocations per cycle.
 func TestSteadyStateProducerFoldAllocs(t *testing.T) {
 	c := NewCollector(Options{Shards: 1})
-	p := c.Producer(ProducerOptions{Ring: 1 << 12})
+	p := c.Producer(ProducerOptions{})
 	batch := batchEvents(rand.New(rand.NewSource(9)), 512, 4, false)
 	for i := 0; i < 4; i++ {
 		p.RecordBatch(batch)
@@ -397,12 +397,22 @@ func TestBatchCounterDiscipline(t *testing.T) {
 // snapshotting scraper — for the race detector, and checks that no event
 // is lost or double-counted end to end.
 func TestConcurrentProducersAndScraper(t *testing.T) {
-	c := NewCollector(Options{Shards: 4, Window: 0.5})
+	// The two producer streams (4 and 5) carry more than a ring of events
+	// each, so their blocking producers stall on the scraper's folds. They
+	// span ~1,700 virtual seconds per rank; 8 s windows keep the series
+	// every scrape rebuilds at a few hundred windows.
+	c := NewCollector(Options{Shards: 4, Window: 8})
 	rng := rand.New(rand.NewSource(11))
 	const perSource = 3000
 	streams := make([][]trace.Event, 6)
+	total := 0
 	for i := range streams {
-		streams[i] = batchEvents(rand.New(rand.NewSource(int64(100+i))), perSource, 4, false)
+		n := perSource
+		if i >= 4 {
+			n += DefaultIngestRing
+		}
+		streams[i] = batchEvents(rand.New(rand.NewSource(int64(100+i))), n, 4, false)
+		total += n
 	}
 	_ = rng
 
@@ -437,7 +447,7 @@ func TestConcurrentProducersAndScraper(t *testing.T) {
 		wg.Add(1)
 		go func(events []trace.Event) {
 			defer wg.Done()
-			p := c.Producer(ProducerOptions{Ring: 256})
+			p := c.Producer(ProducerOptions{})
 			defer p.Close()
 			for len(events) > 0 {
 				n := 100
@@ -469,7 +479,7 @@ func TestConcurrentProducersAndScraper(t *testing.T) {
 	close(stop)
 	scraper.Wait()
 	snap := c.Snapshot()
-	if want := uint64(len(streams) * perSource); snap.Events != want {
+	if want := uint64(total); snap.Events != want {
 		t.Fatalf("final snapshot has %d events, want %d", snap.Events, want)
 	}
 }

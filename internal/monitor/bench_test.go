@@ -69,7 +69,7 @@ func BenchmarkCollectorRecordWindowed(b *testing.B) {
 // producer-side publish cost.
 func BenchmarkRecordBatch(b *testing.B) {
 	c := NewCollector(Options{Shards: 1})
-	p := c.Producer(ProducerOptions{Ring: 1 << 16})
+	p := c.Producer(ProducerOptions{})
 	batch := make([]trace.Event, 512)
 	for i := range batch {
 		batch[i] = trace.Event{Rank: 3, Region: "loop 1", Activity: "computation", Start: 1, End: 2}

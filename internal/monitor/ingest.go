@@ -43,17 +43,17 @@ const (
 	MetricIngestConnStalls   = "loadimb_ingest_conn_stalls_total"
 )
 
-// DefaultIngestRing is the per-connection ring capacity: larger than the
-// in-process default because one connection can carry a whole job's event
-// stream, and the ring must absorb the burst between two background
-// folds.
+// DefaultIngestRing is the capacity in events of every producer ring, a
+// power of two: one connection can carry a whole job's event stream, and
+// its ring must absorb the burst between two background folds.
 const DefaultIngestRing = 1 << 16
+
+// foldIdle is how long the background folder sleeps after finding all
+// rings empty; while events are flowing it folds continuously.
+const foldIdle = 500 * time.Microsecond
 
 // IngestOptions configures an IngestServer.
 type IngestOptions struct {
-	// Ring is the per-connection ring capacity in events, rounded up to a
-	// power of two. 0 means DefaultIngestRing.
-	Ring int
 	// DropOnFull selects the per-connection overflow policy. False
 	// (default) applies backpressure through TCP/UDS flow control: the
 	// reader stalls until the fold frees ring space, the kernel buffers
@@ -62,10 +62,6 @@ type IngestOptions struct {
 	// socket — for observers that prefer losing samples to perturbing
 	// anything.
 	DropOnFull bool
-	// FoldIdle is how long the background folder sleeps after finding all
-	// rings empty; while events are flowing it folds continuously. 0 means
-	// 500 microseconds.
-	FoldIdle time.Duration
 }
 
 // IngestServer accepts binary event-stream connections and feeds them
@@ -110,12 +106,6 @@ type ingestConn struct {
 // NewIngestServer creates an ingest server feeding the collector and
 // starts its background folder.
 func NewIngestServer(c *Collector, opts IngestOptions) *IngestServer {
-	if opts.Ring <= 0 {
-		opts.Ring = DefaultIngestRing
-	}
-	if opts.FoldIdle <= 0 {
-		opts.FoldIdle = 500 * time.Microsecond
-	}
 	s := &IngestServer{
 		c:        c,
 		opts:     opts,
@@ -128,7 +118,7 @@ func NewIngestServer(c *Collector, opts IngestOptions) *IngestServer {
 }
 
 // foldLoop drains the collector continuously while events flow and backs
-// off to FoldIdle naps when everything is empty. It is the consumer the
+// off to foldIdle naps when everything is empty. It is the consumer the
 // blocking producers depend on: without it, a full ring would stall its
 // connection until the next scrape.
 func (s *IngestServer) foldLoop() {
@@ -143,7 +133,7 @@ func (s *IngestServer) foldLoop() {
 			select {
 			case <-s.foldStop:
 				return
-			case <-time.After(s.opts.FoldIdle):
+			case <-time.After(foldIdle):
 			}
 		}
 	}
@@ -225,7 +215,7 @@ func (s *IngestServer) register(conn net.Conn) *ingestConn {
 		id:   s.connSeq.Add(1),
 		addr: conn.RemoteAddr().String(),
 		conn: conn,
-		p:    s.c.Producer(ProducerOptions{Ring: s.opts.Ring, DropOnFull: s.opts.DropOnFull}),
+		p:    s.c.Producer(ProducerOptions{DropOnFull: s.opts.DropOnFull}),
 	}
 	s.conns[ic.id] = ic
 	s.connWG.Add(1)

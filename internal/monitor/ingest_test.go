@@ -80,41 +80,40 @@ func TestIngestEndToEnd(t *testing.T) {
 	}
 }
 
-// TestIngestDropOnFull: in drop mode a deliberately tiny ring with the
-// folder effectively stalled loses events but never blocks the socket,
-// and the losses are counted.
+// TestIngestDropOnFull: in drop mode a connection sending more than a
+// ring of events while the folder is parked loses the overflow but never
+// blocks the socket, and the losses are counted.
 func TestIngestDropOnFull(t *testing.T) {
 	c := NewCollector(Options{})
-	srv := NewIngestServer(c, IngestOptions{
-		Ring:       64,
-		DropOnFull: true,
-		FoldIdle:   time.Hour, // first idle nap parks the folder for good
-	})
+	srv := NewIngestServer(c, IngestOptions{DropOnFull: true})
 	defer srv.Close()
+	// Park the folder until the test returns: nothing drains the ring.
+	c.foldMu.Lock()
+	defer c.foldMu.Unlock()
 	sock := filepath.Join(t.TempDir(), "drop.sock")
 	if _, err := srv.Listen("unix:" + sock); err != nil {
 		t.Fatal(err)
 	}
-	// Give the folder time to hit the empty fold and park.
-	time.Sleep(10 * time.Millisecond)
 	cl, err := DialIngest("unix:"+sock, ClientOptions{Batch: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	events := batchEvents(rand.New(rand.NewSource(4)), 4096, 2, false)
+	events := batchEvents(rand.New(rand.NewSource(4)), DefaultIngestRing+4096, 2, false)
 	cl.RecordBatch(events)
 	if err := cl.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The server counts a batch as decoded before its ring drops: wait for
+	// the handler to see EOF and exit, which settles both counters.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Events() < uint64(len(events)) && time.Now().Before(deadline) {
+	for (srv.Events() < uint64(len(events)) || srv.connsActive.Load() > 0) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if got := srv.Events(); got != uint64(len(events)) {
 		t.Fatalf("server decoded %d events, want %d", got, len(events))
 	}
-	if srv.Dropped() == 0 {
-		t.Fatal("expected ring-overflow drops with a parked folder and a 64-event ring")
+	if got, want := srv.Dropped(), uint64(len(events)-DefaultIngestRing); got != want {
+		t.Fatalf("%d ring-overflow drops with a parked folder, want %d", got, want)
 	}
 }
 
@@ -291,7 +290,7 @@ func TestIngestHandleAfterClose(t *testing.T) {
 func TestIngestCloseRacesAccept(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for round := 0; round < 20; round++ {
-		srv := NewIngestServer(NewCollector(Options{}), IngestOptions{Ring: 64})
+		srv := NewIngestServer(NewCollector(Options{}), IngestOptions{})
 		addr, err := srv.Listen("tcp:127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

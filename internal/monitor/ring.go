@@ -20,10 +20,6 @@ import (
 )
 
 const (
-	// DefaultRingSize is the per-producer ring capacity in events. At the
-	// targeted ingest rate (~10M events/sec per collector) the default
-	// absorbs a few milliseconds of burst per producer between folds.
-	DefaultRingSize = 1 << 14
 	// slabSize is the event capacity of the pooled drain slabs, and the
 	// decode batch size of the ingest path.
 	slabSize = 4096
@@ -42,11 +38,9 @@ var slabPool = sync.Pool{New: func() any {
 	return &s
 }}
 
-// ProducerOptions configures one SPSC producer handle.
+// ProducerOptions configures one SPSC producer handle. Every producer
+// ring holds DefaultIngestRing events.
 type ProducerOptions struct {
-	// Ring is the ring capacity in events, rounded up to a power of two.
-	// 0 means DefaultRingSize.
-	Ring int
 	// DropOnFull selects the overflow policy. False (default) applies
 	// backpressure: RecordBatch spins (yielding) until the consumer frees
 	// space — nothing is lost, the producer stalls. True drops the
@@ -90,18 +84,10 @@ type Producer struct {
 // Producer registers and returns a new SPSC producer handle on the
 // collector.
 func (c *Collector) Producer(opts ProducerOptions) *Producer {
-	n := opts.Ring
-	if n <= 0 {
-		n = DefaultRingSize
-	}
-	pow := 1
-	for pow < n {
-		pow *= 2
-	}
 	p := &Producer{
 		c:    c,
-		ring: make([]trace.Event, pow),
-		mask: uint64(pow - 1),
+		ring: make([]trace.Event, DefaultIngestRing),
+		mask: DefaultIngestRing - 1,
 		drop: opts.DropOnFull,
 	}
 	c.prodMu.Lock()

@@ -9,6 +9,7 @@ import (
 	"loadimb/internal/stats"
 	"loadimb/internal/temporal"
 	"loadimb/internal/trace"
+	"loadimb/internal/tracefmt"
 )
 
 // Snapshot is an immutable view of everything the collector has folded
@@ -107,7 +108,7 @@ func (s *Snapshot) ETag() string {
 	if s.Boot == 0 {
 		return ""
 	}
-	return fmt.Sprintf("\"b%x-g%d\"", s.Boot, s.Gen)
+	return `"` + tracefmt.SnapshotTag(s.Boot, s.Gen) + `"`
 }
 
 // Views returns the dispersion views of the snapshot cube, computing them

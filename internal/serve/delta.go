@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"net/http"
 	"sync"
 
@@ -117,16 +116,6 @@ func (s *DeltaServer) frame(from, to uint64, encode func() ([]byte, error)) ([]b
 	return doc, nil
 }
 
-// parseSince parses the ?since= value: "b<hex>-g<dec>", the ETag without
-// its quotes.
-func parseSince(v string) (boot, gen uint64, ok bool) {
-	if v == "" {
-		return 0, 0, false
-	}
-	n, err := fmt.Sscanf(v, "b%x-g%d", &boot, &gen)
-	return boot, gen, err == nil && n == 2
-}
-
 func (s *DeltaServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	snap := s.src.Snapshot()
 	cur := deltaState(snap)
@@ -144,7 +133,8 @@ func (s *DeltaServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sinceBoot, sinceGen, haveSince := parseSince(r.URL.Query().Get("since"))
+	// A malformed ?since= is treated as a missing one: full document.
+	sinceBoot, sinceGen, haveSince := tracefmt.ParseSnapshotTag(r.URL.Query().Get("since"))
 	if haveSince && sinceBoot == cur.Boot && sinceGen == cur.Gen {
 		w.Header().Set("ETag", snap.ETag())
 		w.WriteHeader(http.StatusNotModified)

@@ -106,6 +106,20 @@ func TestDeltaEndpoint(t *testing.T) {
 		t.Fatalf("304 ETag %q, want %q", got, snap1.ETag())
 	}
 
+	// A malformed ?since= — the current tag with trailing bytes — counts
+	// as a missing one: a full document, never a 304.
+	resp = getDelta(t, srv.URL, sinceOf(snap1.ETag())+"junk")
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("malformed ?since= GET /delta: %d, want 200", resp.StatusCode)
+	}
+	if state, err := tracefmt.DecodeSnapshot(body, nil); err != nil {
+		t.Fatalf("malformed ?since= response is not a full document: %v", err)
+	} else {
+		stateEquals(t, state, snap1)
+	}
+
 	// Advance the collector one generation and ask for the diff.
 	c.Record(trace.Event{Rank: 1, Region: "halo", Activity: "collective", Start: 50, End: 51})
 	snap2 := c.Snapshot()

@@ -9,8 +9,11 @@ import (
 // different dimensions or names.
 var ErrShapeMismatch = errors.New("trace: cube shapes differ")
 
-// sameShape verifies two cubes share dimensions and names.
-func sameShape(a, b *Cube) error {
+// SameShape returns nil when two cubes share dimensions and names, so
+// their cells correspond index for index. Otherwise it returns an error:
+// one wrapping ErrShapeMismatch that names the first difference, or one
+// reporting a nil cube.
+func SameShape(a, b *Cube) error {
 	if a == nil || b == nil {
 		return errors.New("trace: nil cube")
 	}
@@ -35,7 +38,7 @@ func sameShape(a, b *Cube) error {
 // Merge returns a new cube with the cell-wise sum of the two cubes (e.g.
 // folding repeated runs together). Program times add.
 func Merge(a, b *Cube) (*Cube, error) {
-	if err := sameShape(a, b); err != nil {
+	if err := SameShape(a, b); err != nil {
 		return nil, err
 	}
 	out := a.Clone()
@@ -93,7 +96,7 @@ func (d Diff) Speedup() float64 {
 
 // Compare builds the Diff of two cubes.
 func Compare(before, after *Cube) (*Diff, error) {
-	if err := sameShape(before, after); err != nil {
+	if err := SameShape(before, after); err != nil {
 		return nil, err
 	}
 	d := &Diff{

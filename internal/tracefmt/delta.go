@@ -3,13 +3,13 @@ package tracefmt
 // This file defines the LIFP snapshot *delta* format: the document a live
 // endpoint serves at /delta so a federator can bring its cached copy of
 // the endpoint's state up to date without re-shipping the whole cube and
-// window series every interval. It reuses the LIWP event wire protocol's
-// primitive vocabulary — uvarints, zigzag varints, IEEE-754 bit-pattern
-// deltas, interned strings — but where LIWP is an endless stream of raw
-// events, a LIFP document is one self-contained message framed by its
-// transport (an HTTP response body): it carries no cross-document state,
-// so any document can be decoded in isolation given only the base
-// snapshot it names.
+// window series every interval. It is written in the same primitives as
+// the LIWP event wire protocol (codec.go) — uvarints, zigzag varints,
+// IEEE-754 bit deltas, name references — but where LIWP is an endless
+// stream of raw events, a LIFP document is one self-contained message
+// framed by its transport (an HTTP response body): it carries no
+// cross-document state, so any document can be decoded in isolation
+// given only the base snapshot it names.
 //
 // # Document layout
 //
@@ -97,11 +97,8 @@ package tracefmt
 // # Strings
 //
 // All names — regions, activities, dominant activities, per-dimension
-// keys — share one intern table per document, encoded exactly like LIWP
-// string references: uvarint(0) uvarint(len) bytes introduces a new
-// entry, uvarint(index+1) references a known one. The table is bounded
-// (MaxWireStrings entries, maxWireTableBytes bytes) against hostile
-// input.
+// keys — share one name table per document; a stringRef is codec.go's
+// name reference, bounded as described there.
 //
 // # Safety
 //
@@ -118,6 +115,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 
 	"loadimb/internal/temporal"
 	"loadimb/internal/trace"
@@ -175,41 +174,44 @@ type DeltaState struct {
 	Series *temporal.Series
 }
 
-// deltaEnc assembles one document; its intern table and float chains are
+// SnapshotTag formats a snapshot identity as "b<boot hex>-g<gen dec>":
+// the snapshot's HTTP ETag without its quotes, and the ?since= value of
+// a /delta client holding that snapshot.
+func SnapshotTag(boot, gen uint64) string {
+	return "b" + strconv.FormatUint(boot, 16) + "-g" + strconv.FormatUint(gen, 10)
+}
+
+// ParseSnapshotTag parses a SnapshotTag. The whole string must match:
+// anything else, trailing bytes included, reports ok false.
+func ParseSnapshotTag(tag string) (boot, gen uint64, ok bool) {
+	b, g, found := strings.Cut(tag, "-g")
+	if !found || !strings.HasPrefix(b, "b") {
+		return 0, 0, false
+	}
+	boot, errBoot := strconv.ParseUint(b[1:], 16, 64)
+	gen, errGen := strconv.ParseUint(g, 10, 64)
+	if errBoot != nil || errGen != nil {
+		return 0, 0, false
+	}
+	return boot, gen, true
+}
+
+// deltaEnc assembles one document; its name table and float chain are
 // document-local.
 type deltaEnc struct {
-	buf     []byte
-	strings map[string]uint64
-	tblLen  int
-	wprev   uint64 // float bit chain across window vector elements
+	buf   []byte
+	names interner
+	wprev uint64 // float bit chain across window vector elements
 }
 
 func (e *deltaEnc) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 func (e *deltaEnc) varint(v int64)   { e.buf = binary.AppendUvarint(e.buf, zigzag(v)) }
 func (e *deltaEnc) byte(b byte)      { e.buf = append(e.buf, b) }
 
-// stringRef appends a reference to name, interning it on first use.
-func (e *deltaEnc) stringRef(name string) error {
-	if idx, ok := e.strings[name]; ok {
-		e.uvarint(idx + 1)
-		return nil
-	}
-	if len(name) > maxNameLen {
-		return fmt.Errorf("%w: name %d bytes exceeds %d", ErrWire, len(name), maxNameLen)
-	}
-	if len(e.strings) >= MaxWireStrings {
-		return fmt.Errorf("%w: string table full (%d names)", ErrWire, MaxWireStrings)
-	}
-	if e.tblLen+len(name) > maxWireTableBytes {
-		return fmt.Errorf("%w: string table byte budget exceeded", ErrWire)
-	}
-	idx := uint64(len(e.strings))
-	e.strings[name] = idx
-	e.tblLen += len(name)
-	e.uvarint(0)
-	e.uvarint(uint64(len(name)))
-	e.buf = append(e.buf, name...)
-	return nil
+// name appends a reference to s, interning it on first use.
+func (e *deltaEnc) name(s string) (err error) {
+	e.buf, err = e.names.appendRef(e.buf, s)
+	return err
 }
 
 // vec appends one float vector as a length plus bit-delta chain.
@@ -217,13 +219,9 @@ func (e *deltaEnc) vec(vals []float64) {
 	e.uvarint(uint64(len(vals)))
 	for _, v := range vals {
 		bits := math.Float64bits(v)
-		e.varint(int64(bits) - int64(e.wprev))
+		e.buf = appendBitDelta(e.buf, e.wprev, bits)
 		e.wprev = bits
 	}
-}
-
-func newDeltaEnc() *deltaEnc {
-	return &deltaEnc{strings: make(map[string]uint64)}
 }
 
 func (e *deltaEnc) header(kind byte, boot, gen uint64) {
@@ -239,7 +237,7 @@ func EncodeSnapshotFull(cur *DeltaState) ([]byte, error) {
 	if cur == nil {
 		return nil, errors.New("tracefmt: nil snapshot state")
 	}
-	e := newDeltaEnc()
+	e := &deltaEnc{}
 	e.header(deltaKindFull, cur.Boot, cur.Gen)
 	if cur.Cube == nil {
 		e.byte(deltaOpAbsent)
@@ -272,7 +270,7 @@ func EncodeSnapshotDelta(prev, cur *DeltaState) ([]byte, error) {
 	if prev.Boot != cur.Boot {
 		return nil, fmt.Errorf("tracefmt: delta across boot nonces (%x -> %x)", prev.Boot, cur.Boot)
 	}
-	e := newDeltaEnc()
+	e := &deltaEnc{}
 	e.header(deltaKindDelta, cur.Boot, cur.Gen)
 	e.uvarint(prev.Gen)
 	if err := e.cubeDelta(prev.Cube, cur.Cube); err != nil {
@@ -292,12 +290,12 @@ func (e *deltaEnc) cubeFull(c *trace.Cube) error {
 	e.uvarint(uint64(k))
 	e.uvarint(uint64(p))
 	for i := 0; i < n; i++ {
-		if err := e.stringRef(c.RegionName(i)); err != nil {
+		if err := e.name(c.RegionName(i)); err != nil {
 			return err
 		}
 	}
 	for j := 0; j < k; j++ {
-		if err := e.stringRef(c.ActivityName(j)); err != nil {
+		if err := e.name(c.ActivityName(j)); err != nil {
 			return err
 		}
 	}
@@ -329,32 +327,12 @@ func (e *deltaEnc) cubeFull(c *trace.Cube) error {
 				flat := base + int64(q)
 				e.uvarint(uint64(flat - prevFlat))
 				bits := math.Float64bits(t)
-				e.varint(int64(bits) - int64(prevBits))
+				e.buf = appendBitDelta(e.buf, prevBits, bits)
 				prevFlat, prevBits = flat, bits
 			}
 		}
 	}
 	return nil
-}
-
-// sameShape reports whether two cubes have identical dimension tables, so
-// a cell patch can be applied index-for-index.
-func sameShape(a, b *trace.Cube) bool {
-	n, k, p := a.NumRegions(), a.NumActivities(), a.NumProcs()
-	if n != b.NumRegions() || k != b.NumActivities() || p != b.NumProcs() {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if a.RegionName(i) != b.RegionName(i) {
-			return false
-		}
-	}
-	for j := 0; j < k; j++ {
-		if a.ActivityName(j) != b.ActivityName(j) {
-			return false
-		}
-	}
-	return true
 }
 
 // cubeDelta emits the cube operation: unchanged, patch, replace or
@@ -367,7 +345,7 @@ func (e *deltaEnc) cubeDelta(prev, cur *trace.Cube) error {
 	case cur == nil:
 		e.byte(deltaOpCleared)
 		return nil
-	case prev == nil || !sameShape(prev, cur):
+	case prev == nil || trace.SameShape(prev, cur) != nil:
 		e.byte(deltaOpReplace)
 		return e.cubeFull(cur)
 	}
@@ -398,20 +376,20 @@ func (e *deltaEnc) cubeDelta(prev, cur *trace.Cube) error {
 		return nil
 	}
 	e.byte(deltaOpPresent)
-	e.varint(int64(nb) - int64(ob))
+	e.buf = appendBitDelta(e.buf, ob, nb)
 	e.uvarint(uint64(len(changes)))
 	prevFlat := int64(-1)
 	for _, ch := range changes {
 		e.uvarint(uint64(ch.flat - prevFlat))
-		e.varint(int64(ch.new) - int64(ch.old))
+		e.buf = appendBitDelta(e.buf, ch.old, ch.new)
 		prevFlat = ch.flat
 	}
 	return nil
 }
 
-// windowVec encodes one window vector.
-func (e *deltaEnc) windowVec(v *temporal.WindowVector, prevIdx int64) (int64, error) {
-	e.varint(int64(v.Index) - prevIdx)
+// windowVec encodes one window vector; its index chains against prevIdx.
+func (e *deltaEnc) windowVec(v *temporal.WindowVector, prevIdx int) error {
+	e.varint(int64(v.Index) - int64(prevIdx))
 	e.uvarint(uint64(v.Events))
 	var flags byte
 	if v.Dominant != "" {
@@ -425,8 +403,8 @@ func (e *deltaEnc) windowVec(v *temporal.WindowVector, prevIdx int64) (int64, er
 	}
 	e.byte(flags)
 	if flags&deltaFlagDominant != 0 {
-		if err := e.stringRef(v.Dominant); err != nil {
-			return 0, err
+		if err := e.name(v.Dominant); err != nil {
+			return err
 		}
 	}
 	e.vec(v.ProcSeconds)
@@ -441,13 +419,27 @@ func (e *deltaEnc) windowVec(v *temporal.WindowVector, prevIdx int64) (int64, er
 		sort.Strings(names)
 		e.uvarint(uint64(len(names)))
 		for _, name := range names {
-			if err := e.stringRef(name); err != nil {
-				return 0, err
+			if err := e.name(name); err != nil {
+				return err
 			}
 			e.vec(dim[name])
 		}
 	}
-	return int64(v.Index), nil
+	return nil
+}
+
+// windowList encodes a count-prefixed list of window vectors whose
+// indices delta-chain from 0.
+func (e *deltaEnc) windowList(list []temporal.WindowVector) error {
+	e.uvarint(uint64(len(list)))
+	prevIdx := 0
+	for i := range list {
+		if err := e.windowVec(&list[i], prevIdx); err != nil {
+			return err
+		}
+		prevIdx = list[i].Index
+	}
+	return nil
 }
 
 // seriesFull encodes a complete window series.
@@ -456,17 +448,10 @@ func (e *deltaEnc) seriesFull(s *temporal.Series) error {
 	e.uvarint(uint64(s.Procs))
 	e.varint(int64(s.RingStart))
 	e.uvarint(math.Float64bits(s.CoarseWindow))
-	for _, list := range [][]temporal.WindowVector{s.Windows, s.Coarse} {
-		e.uvarint(uint64(len(list)))
-		prevIdx := int64(0)
-		for i := range list {
-			var err error
-			if prevIdx, err = e.windowVec(&list[i], prevIdx); err != nil {
-				return err
-			}
-		}
+	if err := e.windowList(s.Windows); err != nil {
+		return err
 	}
-	return nil
+	return e.windowList(s.Coarse)
 }
 
 // windowEqual reports whether two window vectors are bit-identical.
@@ -524,13 +509,13 @@ func (e *deltaEnc) seriesDelta(prev, cur *temporal.Series) error {
 	for i := range prev.Windows {
 		oldByIdx[prev.Windows[i].Index] = &prev.Windows[i]
 	}
-	var changed []*temporal.WindowVector
+	var changed []temporal.WindowVector
 	curIdx := make(map[int]bool, len(cur.Windows))
 	for i := range cur.Windows {
 		v := &cur.Windows[i]
 		curIdx[v.Index] = true
 		if old, ok := oldByIdx[v.Index]; !ok || !windowEqual(old, v) {
-			changed = append(changed, v)
+			changed = append(changed, *v)
 		}
 	}
 	var removed []int
@@ -559,30 +544,17 @@ func (e *deltaEnc) seriesDelta(prev, cur *temporal.Series) error {
 	if coarseChanged {
 		e.byte(1)
 		e.uvarint(math.Float64bits(cur.CoarseWindow))
-		e.uvarint(uint64(len(cur.Coarse)))
-		prevIdx := int64(0)
-		for i := range cur.Coarse {
-			var err error
-			if prevIdx, err = e.windowVec(&cur.Coarse[i], prevIdx); err != nil {
-				return err
-			}
+		if err := e.windowList(cur.Coarse); err != nil {
+			return err
 		}
 	} else {
 		e.byte(0)
 	}
 	e.uvarint(uint64(len(removed)))
-	prevIdx := int64(0)
+	prevIdx := 0
 	for _, idx := range removed {
-		e.varint(int64(idx) - prevIdx)
-		prevIdx = int64(idx)
+		e.varint(int64(idx - prevIdx))
+		prevIdx = idx
 	}
-	e.uvarint(uint64(len(changed)))
-	prevIdx = 0
-	for _, v := range changed {
-		var err error
-		if prevIdx, err = e.windowVec(v, prevIdx); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.windowList(changed)
 }

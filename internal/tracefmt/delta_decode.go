@@ -1,7 +1,6 @@
 package tracefmt
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -10,99 +9,12 @@ import (
 	"loadimb/internal/trace"
 )
 
-// deltaDec consumes one LIFP document. Like the encoder its intern table
-// and float chain are document-local; every read is bounds-checked so
-// arbitrary input produces an error, never a panic or an allocation
-// disproportionate to the input size.
+// deltaDec consumes one LIFP document. Like the encoder its name table
+// and float chain are document-local.
 type deltaDec struct {
-	body    []byte
-	strings []string
-	tblLen  int
-	wprev   uint64
-}
-
-func (d *deltaDec) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.body)
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated uvarint", ErrWire)
-	}
-	d.body = d.body[n:]
-	return v, nil
-}
-
-func (d *deltaDec) varint() (int64, error) {
-	u, err := d.uvarint()
-	return unzigzag(u), err
-}
-
-func (d *deltaDec) takeByte() (byte, error) {
-	if len(d.body) == 0 {
-		return 0, fmt.Errorf("%w: truncated byte", ErrWire)
-	}
-	b := d.body[0]
-	d.body = d.body[1:]
-	return b, nil
-}
-
-// count reads a count whose every element consumes at least min bytes of
-// input, rejecting counts the remaining input cannot possibly satisfy —
-// the proportionality bound that keeps decoder allocation tied to input
-// size.
-func (d *deltaDec) count(min int) (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(len(d.body)/min) {
-		return 0, fmt.Errorf("%w: count %d exceeds remaining input", ErrWire, v)
-	}
-	return int(v), nil
-}
-
-// stringRef reads one interned string reference.
-func (d *deltaDec) stringRef() (string, error) {
-	ref, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if ref != 0 {
-		if ref > uint64(len(d.strings)) {
-			return "", fmt.Errorf("%w: string ref %d beyond table of %d", ErrWire, ref, len(d.strings))
-		}
-		return d.strings[ref-1], nil
-	}
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > maxNameLen || n > uint64(len(d.body)) {
-		return "", fmt.Errorf("%w: name length %d", ErrWire, n)
-	}
-	if len(d.strings) >= MaxWireStrings {
-		return "", fmt.Errorf("%w: string table full", ErrWire)
-	}
-	if d.tblLen+int(n) > maxWireTableBytes {
-		return "", fmt.Errorf("%w: string table byte budget exceeded", ErrWire)
-	}
-	name := string(d.body[:n])
-	d.body = d.body[n:]
-	d.strings = append(d.strings, name)
-	d.tblLen += int(n)
-	return name, nil
-}
-
-// floatBits reads one finite float off the document-global chain.
-func (d *deltaDec) floatBits() (float64, error) {
-	delta, err := d.varint()
-	if err != nil {
-		return 0, err
-	}
-	d.wprev = uint64(int64(d.wprev) + delta)
-	v := math.Float64frombits(d.wprev)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("%w: non-finite value", ErrWire)
-	}
-	return v, nil
+	reader
+	names names
+	wprev uint64
 }
 
 // vec reads one float vector; maxLen bounds the declared length.
@@ -116,14 +28,14 @@ func (d *deltaDec) vec(maxLen int) ([]float64, error) {
 	}
 	out := make([]float64, n)
 	for i := range out {
-		if out[i], err = d.floatBits(); err != nil {
+		if out[i], err = d.finite(&d.wprev); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// finiteWidth validates a decoded window width (or program time) pattern.
+// finiteNonneg validates a decoded window width (or program time) pattern.
 func finiteNonneg(bits uint64, what string) (float64, error) {
 	v := math.Float64frombits(bits)
 	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
@@ -144,7 +56,7 @@ func DecodeSnapshot(data []byte, base *DeltaState) (*DeltaState, error) {
 	if len(data) < len(DeltaMagic) || string(data[:len(DeltaMagic)]) != DeltaMagic {
 		return nil, fmt.Errorf("%w: want %q", ErrBadMagic, DeltaMagic)
 	}
-	d := &deltaDec{body: data[len(DeltaMagic):]}
+	d := &deltaDec{reader: reader{buf: data[len(DeltaMagic):]}}
 	ver, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -152,7 +64,7 @@ func DecodeSnapshot(data []byte, base *DeltaState) (*DeltaState, error) {
 	if ver != DeltaVersion {
 		return nil, fmt.Errorf("%w: delta version %d, support %d", ErrBadVersion, ver, DeltaVersion)
 	}
-	kind, err := d.takeByte()
+	kind, err := d.byte()
 	if err != nil {
 		return nil, err
 	}
@@ -190,15 +102,15 @@ func DecodeSnapshot(data []byte, base *DeltaState) (*DeltaState, error) {
 	default:
 		return nil, fmt.Errorf("%w: document kind %#x", ErrWire, kind)
 	}
-	if len(d.body) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWire, len(d.body))
+	if len(d.buf) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWire, len(d.buf))
 	}
 	return out, nil
 }
 
 // cubeSection reads the full-document cube section (absent or full).
 func (d *deltaDec) cubeSection() (*trace.Cube, error) {
-	tag, err := d.takeByte()
+	tag, err := d.byte()
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +125,7 @@ func (d *deltaDec) cubeSection() (*trace.Cube, error) {
 
 // seriesSection reads the full-document series section.
 func (d *deltaDec) seriesSection() (*temporal.Series, error) {
-	tag, err := d.takeByte()
+	tag, err := d.byte()
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +140,7 @@ func (d *deltaDec) seriesSection() (*temporal.Series, error) {
 
 // cubeOp applies a delta-document cube operation against base.
 func (d *deltaDec) cubeOp(base *trace.Cube) (*trace.Cube, error) {
-	tag, err := d.takeByte()
+	tag, err := d.byte()
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +162,7 @@ func (d *deltaDec) cubeOp(base *trace.Cube) (*trace.Cube, error) {
 
 // seriesOp applies a delta-document series operation against base.
 func (d *deltaDec) seriesOp(base *temporal.Series) (*temporal.Series, error) {
-	tag, err := d.takeByte()
+	tag, err := d.byte()
 	if err != nil {
 		return nil, err
 	}
@@ -298,18 +210,18 @@ func (d *deltaDec) cubeFull() (*trace.Cube, error) {
 		n*k > maxDeltaCells/p {
 		return nil, fmt.Errorf("%w: cube dims %dx%dx%d", ErrWire, n, k, p)
 	}
-	if n+k > uint64(len(d.body)) {
+	if n+k > uint64(len(d.buf)) {
 		return nil, fmt.Errorf("%w: name count exceeds remaining input", ErrWire)
 	}
 	regions := make([]string, n)
 	for i := range regions {
-		if regions[i], err = d.stringRef(); err != nil {
+		if regions[i], err = d.name(&d.names); err != nil {
 			return nil, err
 		}
 	}
 	activities := make([]string, k)
 	for j := range activities {
-		if activities[j], err = d.stringRef(); err != nil {
+		if activities[j], err = d.name(&d.names); err != nil {
 			return nil, err
 		}
 	}
@@ -325,39 +237,8 @@ func (d *deltaDec) cubeFull() (*trace.Cube, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := int64(n * k * p)
-	cells, err := d.count(2)
-	if err != nil {
+	if err := d.cells(cube, false); err != nil {
 		return nil, err
-	}
-	prevFlat := int64(-1)
-	prevBits := uint64(0)
-	for c := 0; c < cells; c++ {
-		gap, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		delta, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		if gap == 0 || gap > uint64(total) {
-			return nil, fmt.Errorf("%w: cell gap %d", ErrWire, gap)
-		}
-		flat := prevFlat + int64(gap)
-		if flat >= total {
-			return nil, fmt.Errorf("%w: cell index %d beyond %d", ErrWire, flat, total)
-		}
-		prevBits = uint64(int64(prevBits) + delta)
-		t := math.Float64frombits(prevBits)
-		if math.IsNaN(t) || math.IsInf(t, 0) {
-			return nil, fmt.Errorf("%w: non-finite cell time", ErrWire)
-		}
-		kp := int64(k) * int64(p)
-		if err := cube.Set(int(flat/kp), int(flat%kp)/int(p), int(flat%int64(p)), t); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrWire, err)
-		}
-		prevFlat = flat
 	}
 	if err := setProgram(cube, pt); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrWire, err)
@@ -369,53 +250,16 @@ func (d *deltaDec) cubeFull() (*trace.Cube, error) {
 // of base.
 func (d *deltaDec) cubePatch(base *trace.Cube) (*trace.Cube, error) {
 	cube := base.Clone()
-	n, k, p := cube.NumRegions(), cube.NumActivities(), cube.NumProcs()
-	total := int64(n) * int64(k) * int64(p)
-	ptDelta, err := d.varint()
+	ptBits, err := d.bitDelta(math.Float64bits(base.ProgramTime()))
 	if err != nil {
 		return nil, err
 	}
-	ptBits := uint64(int64(math.Float64bits(base.ProgramTime())) + ptDelta)
 	pt, err := finiteNonneg(ptBits, "program time")
 	if err != nil {
 		return nil, err
 	}
-	cells, err := d.count(2)
-	if err != nil {
+	if err := d.cells(cube, true); err != nil {
 		return nil, err
-	}
-	prevFlat := int64(-1)
-	for c := 0; c < cells; c++ {
-		gap, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		delta, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		if gap == 0 || gap > uint64(total) {
-			return nil, fmt.Errorf("%w: cell gap %d", ErrWire, gap)
-		}
-		flat := prevFlat + int64(gap)
-		if flat >= total {
-			return nil, fmt.Errorf("%w: cell index %d beyond %d", ErrWire, flat, total)
-		}
-		kp := int64(k) * int64(p)
-		i, j, q := int(flat/kp), int(flat%kp)/p, int(flat%int64(p))
-		old, err := cube.At(i, j, q)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrWire, err)
-		}
-		bits := uint64(int64(math.Float64bits(old)) + delta)
-		t := math.Float64frombits(bits)
-		if math.IsNaN(t) || math.IsInf(t, 0) {
-			return nil, fmt.Errorf("%w: non-finite cell time", ErrWire)
-		}
-		if err := cube.Set(i, j, q, t); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrWire, err)
-		}
-		prevFlat = flat
 	}
 	// Clear any stale explicit program time before re-resolving: the
 	// patched instrumented total may have grown past the old wall clock.
@@ -426,6 +270,50 @@ func (d *deltaDec) cubePatch(base *trace.Cube) (*trace.Cube, error) {
 		return nil, fmt.Errorf("%w: %v", ErrWire, err)
 	}
 	return cube, nil
+}
+
+// cells decodes a gap-coded cell list into cube. Each value's bit delta
+// is against the cell's current value in a patch, and against the
+// previously decoded cell (cold start 0) in a full cube.
+func (d *deltaDec) cells(cube *trace.Cube, patch bool) error {
+	k, p := cube.NumActivities(), cube.NumProcs()
+	kp := int64(k) * int64(p)
+	total := int64(cube.NumRegions()) * kp
+	count, err := d.count(2)
+	if err != nil {
+		return err
+	}
+	prevFlat, prevBits := int64(-1), uint64(0)
+	for c := 0; c < count; c++ {
+		gap, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if gap == 0 || gap > uint64(total) {
+			return fmt.Errorf("%w: cell gap %d", ErrWire, gap)
+		}
+		flat := prevFlat + int64(gap)
+		if flat >= total {
+			return fmt.Errorf("%w: cell index %d beyond %d", ErrWire, flat, total)
+		}
+		i, j, q := int(flat/kp), int(flat%kp)/p, int(flat%int64(p))
+		if patch {
+			old, err := cube.At(i, j, q)
+			if err != nil {
+				return fmt.Errorf("%w: %v", ErrWire, err)
+			}
+			prevBits = math.Float64bits(old)
+		}
+		t, err := d.finite(&prevBits)
+		if err != nil {
+			return err
+		}
+		if err := cube.Set(i, j, q, t); err != nil {
+			return fmt.Errorf("%w: %v", ErrWire, err)
+		}
+		prevFlat = flat
+	}
+	return nil
 }
 
 // windowVec decodes one window vector; procs bounds vector lengths.
@@ -448,7 +336,7 @@ func (d *deltaDec) windowVec(prevIdx int64, procs int) (temporal.WindowVector, i
 		return v, 0, fmt.Errorf("%w: window event count %d", ErrWire, events)
 	}
 	v.Events = int(events)
-	flags, err := d.takeByte()
+	flags, err := d.byte()
 	if err != nil {
 		return v, 0, err
 	}
@@ -456,7 +344,7 @@ func (d *deltaDec) windowVec(prevIdx int64, procs int) (temporal.WindowVector, i
 		return v, 0, fmt.Errorf("%w: window flags %#x", ErrWire, flags)
 	}
 	if flags&deltaFlagDominant != 0 {
-		if v.Dominant, err = d.stringRef(); err != nil {
+		if v.Dominant, err = d.name(&d.names); err != nil {
 			return v, 0, err
 		}
 	}
@@ -479,7 +367,7 @@ func (d *deltaDec) windowVec(prevIdx int64, procs int) (temporal.WindowVector, i
 		}
 		m := make(map[string][]float64, n)
 		for e := 0; e < n; e++ {
-			name, err := d.stringRef()
+			name, err := d.name(&d.names)
 			if err != nil {
 				return v, 0, err
 			}
@@ -586,7 +474,7 @@ func (d *deltaDec) seriesPatch(base *temporal.Series) (*temporal.Series, error) 
 		return nil, fmt.Errorf("%w: ring start %d", ErrWire, ringStart)
 	}
 	s.RingStart = int(ringStart)
-	coarseTag, err := d.takeByte()
+	coarseTag, err := d.byte()
 	if err != nil {
 		return nil, err
 	}

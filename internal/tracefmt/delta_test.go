@@ -318,3 +318,24 @@ func TestDeltaDecodeRejectsGarbage(t *testing.T) {
 		t.Fatalf("bad version: %v", err)
 	}
 }
+
+// TestSnapshotTag: tags round-trip, and parsing accepts the whole string
+// or nothing — trailing bytes, a missing part or a foreign digit is not a
+// tag.
+func TestSnapshotTag(t *testing.T) {
+	for _, id := range [][2]uint64{{0x1f, 2}, {1, 0}, {math.MaxUint64, math.MaxUint64}} {
+		tag := SnapshotTag(id[0], id[1])
+		boot, gen, ok := ParseSnapshotTag(tag)
+		if !ok || boot != id[0] || gen != id[1] {
+			t.Errorf("ParseSnapshotTag(%q) = (%x, %d, %v), want (%x, %d, true)", tag, boot, gen, ok, id[0], id[1])
+		}
+	}
+	if tag := SnapshotTag(0x1f, 2); tag != "b1f-g2" {
+		t.Errorf("SnapshotTag(0x1f, 2) = %q, want b1f-g2", tag)
+	}
+	for _, bad := range []string{"", "b1f-g2junk", "b1f-g2 ", " b1f-g2", "1f-g2", "b-g2", "b1f-g", "b1f", "bxyz-g2", "b1f-g+2", "b1f-g-2", "b1f-g2-g3"} {
+		if boot, gen, ok := ParseSnapshotTag(bad); ok {
+			t.Errorf("ParseSnapshotTag(%q) = (%x, %d), want a rejection", bad, boot, gen)
+		}
+	}
+}

@@ -1,7 +1,9 @@
 // Package tracefmt defines the on-disk formats for measurement cubes and
 // event traces: a compact versioned binary format (magic "LIMB") and a JSON
 // format for interoperability. Both round-trip losslessly through the
-// in-memory types of internal/trace.
+// in-memory types of internal/trace. It also defines the two network
+// protocols, the LIWP event stream (wire.go) and the LIFP snapshot
+// documents (delta.go), both written on the primitives of codec.go.
 package tracefmt
 
 import (

@@ -61,16 +61,12 @@ package tracefmt
 // # String interning
 //
 // Region and activity names repeat constantly, so each stream direction
-// maintains two append-only string tables (regions, activities) shared by
-// all frames of the connection:
-//
-//	stringRef := uvarint(0) uvarint(len) bytes   // new: append to table
-//	           | uvarint(index+1)                // known: table reference
-//
-// A name is transmitted once and referenced by index (1 byte for the
-// first 127 names) afterwards. Tables are bounded (MaxWireStrings entries,
-// maxWireTableBytes total) so a hostile stream cannot grow decoder state
-// without limit; an encoder that overflows the table errors out, which in
+// maintains two append-only name tables (regions, activities) shared by
+// all frames of the connection. A stringRef is codec.go's name reference:
+// a name is transmitted once and referenced by index (1 byte for the
+// first 127 names) afterwards. Both tables are bounded as codec.go
+// describes, so a hostile stream cannot grow decoder state without limit;
+// an encoder that would overflow a table errors out instead, which in
 // practice means the producer is generating unbounded distinct names.
 //
 // # Rank deltas
@@ -82,7 +78,6 @@ package tracefmt
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -103,23 +98,7 @@ const (
 	MaxWireFrame = 1 << 22
 	// MaxWireBatch bounds the event count of one frame.
 	MaxWireBatch = 1 << 16
-	// MaxWireStrings bounds each intern table of a connection.
-	MaxWireStrings = 1 << 16
-	// maxWireTableBytes bounds the total interned name bytes per table, so
-	// a hostile stream cannot balloon decoder memory with maximum-length
-	// names.
-	maxWireTableBytes = 1 << 24
 )
-
-// ErrWire is wrapped by every wire-protocol corruption error, so callers
-// can distinguish a malformed stream from an I/O failure.
-var ErrWire = errors.New("tracefmt: corrupt wire stream")
-
-// zigzag maps a signed delta onto the unsigned varint space.
-func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
-
-// unzigzag inverts zigzag.
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // WireEncoder encodes event batches as wire frames. It is not safe for
 // concurrent use; a connection has one encoder. The zero cost path is the
@@ -133,32 +112,18 @@ type WireEncoder struct {
 	w          io.Writer
 	started    bool
 	err        error
-	regions    map[string]uint64
-	activities map[string]uint64
+	regions    interner
+	activities interner
 	prevRank   int64
 	prevStart  uint64 // IEEE-754 bits of the previous event's start
 	scratch    []byte // frame body assembly buffer
 	hdr        []byte // frame header assembly buffer
-
-	// lastRegion/lastActivity memoize the previous event's name and its
-	// wire reference: real streams repeat the same names in long runs, so
-	// the hot path is a string comparison (usually a pointer equality)
-	// instead of a map lookup. A zero ref marks the memo invalid — 0 is
-	// never a table reference (references are index+1).
-	lastRegion      string
-	lastRegionRef   uint64
-	lastActivity    string
-	lastActivityRef uint64
 }
 
 // NewWireEncoder returns an encoder writing the wire protocol to w. The
 // handshake is emitted in front of the first frame.
 func NewWireEncoder(w io.Writer) *WireEncoder {
-	return &WireEncoder{
-		w:          w,
-		regions:    make(map[string]uint64),
-		activities: make(map[string]uint64),
-	}
+	return &WireEncoder{w: w}
 }
 
 // EncodeBatch writes one or more event frames carrying the batch, in
@@ -228,20 +193,19 @@ func (enc *WireEncoder) encodeFrame(events []trace.Event) error {
 		payload = binary.AppendUvarint(payload, zigzag(rank-enc.prevRank))
 		enc.prevRank = rank
 		var err error
-		if payload, err = enc.ref(payload, enc.regions, e.Region, &enc.lastRegion, &enc.lastRegionRef); err != nil {
-			enc.scratch = payload[:0]
-			enc.err = err
-			return err
+		if payload, err = enc.regions.appendRef(payload, e.Region); err == nil {
+			payload, err = enc.activities.appendRef(payload, e.Activity)
 		}
-		if payload, err = enc.ref(payload, enc.activities, e.Activity, &enc.lastActivity, &enc.lastActivityRef); err != nil {
+		if err != nil {
+			// The frame under assembly is dropped: the frames already
+			// written decode cleanly, and the stream ends here.
 			enc.scratch = payload[:0]
 			enc.err = err
 			return err
 		}
 		start := math.Float64bits(e.Start)
-		end := math.Float64bits(e.End)
-		payload = binary.AppendUvarint(payload, zigzag(int64(start)-int64(enc.prevStart)))
-		payload = binary.AppendUvarint(payload, zigzag(int64(end)-int64(start)))
+		payload = appendBitDelta(payload, enc.prevStart, start)
+		payload = appendBitDelta(payload, start, math.Float64bits(e.End))
 		enc.prevStart = start
 		count++
 	}
@@ -275,30 +239,6 @@ func (enc *WireEncoder) flushFrame(payload []byte, count uint64) error {
 	return nil
 }
 
-// ref appends the string reference for name, interning it in table on
-// first use and keeping the (last, lastRef) memo current.
-func (enc *WireEncoder) ref(dst []byte, table map[string]uint64, name string, last *string, lastRef *uint64) ([]byte, error) {
-	if *lastRef != 0 && name == *last {
-		return binary.AppendUvarint(dst, *lastRef), nil
-	}
-	if idx, ok := table[name]; ok {
-		*last, *lastRef = name, idx+1
-		return binary.AppendUvarint(dst, idx+1), nil
-	}
-	if len(name) > maxNameLen {
-		return dst, fmt.Errorf("%w: name %d bytes exceeds %d", ErrWire, len(name), maxNameLen)
-	}
-	if len(table) >= MaxWireStrings {
-		return dst, fmt.Errorf("%w: string table full (%d names)", ErrWire, MaxWireStrings)
-	}
-	idx := uint64(len(table))
-	table[name] = idx
-	*last, *lastRef = name, idx+1
-	dst = binary.AppendUvarint(dst, 0)
-	dst = binary.AppendUvarint(dst, uint64(len(name)))
-	return append(dst, name...), nil
-}
-
 // WireDecoder decodes an event wire stream. It is not safe for concurrent
 // use; a connection has one decoder. Arbitrary input never panics: every
 // structural violation returns an error wrapping ErrWire (or ErrBadMagic /
@@ -308,9 +248,8 @@ type WireDecoder struct {
 	br         *bufio.Reader
 	started    bool
 	version    uint64
-	regions    []string
-	activities []string
-	tableBytes [2]int
+	regions    names
+	activities names
 	prevRank   int64
 	prevStart  uint64
 	frame      []byte // reused frame body buffer
@@ -385,86 +324,43 @@ func (d *WireDecoder) decodeFrame(dst []trace.Event, body []byte) ([]trace.Event
 	if body[0] != FrameEvents {
 		return dst, fmt.Errorf("%w: unknown frame type 0x%02x", ErrWire, body[0])
 	}
-	body = body[1:]
-	count, body, err := takeUvarint(body)
+	r := reader{buf: body[1:]}
+	count, err := r.uvarint()
 	if err != nil {
-		return dst, fmt.Errorf("%w: event count: %v", ErrWire, err)
+		return dst, err
 	}
 	if count == 0 || count > MaxWireBatch {
 		return dst, fmt.Errorf("%w: event count %d", ErrWire, count)
 	}
 	for n := uint64(0); n < count; n++ {
 		var e trace.Event
-		var u uint64
-		if u, body, err = takeUvarint(body); err != nil {
-			return dst, fmt.Errorf("%w: rank delta: %v", ErrWire, err)
+		rank, err := r.varint()
+		if err != nil {
+			return dst, err
 		}
-		d.prevRank += unzigzag(u)
+		d.prevRank += rank
 		e.Rank = int(d.prevRank)
-		if e.Region, body, err = d.takeRef(body, &d.regions, 0); err != nil {
+		if e.Region, err = r.name(&d.regions); err != nil {
 			return dst, err
 		}
-		if e.Activity, body, err = d.takeRef(body, &d.activities, 1); err != nil {
+		if e.Activity, err = r.name(&d.activities); err != nil {
 			return dst, err
 		}
-		if u, body, err = takeUvarint(body); err != nil {
-			return dst, fmt.Errorf("%w: start delta: %v", ErrWire, err)
+		start, err := r.bitDelta(d.prevStart)
+		if err != nil {
+			return dst, err
 		}
-		start := uint64(int64(d.prevStart) + unzigzag(u))
-		e.Start = math.Float64frombits(start)
+		end, err := r.bitDelta(start)
+		if err != nil {
+			return dst, err
+		}
 		d.prevStart = start
-		if u, body, err = takeUvarint(body); err != nil {
-			return dst, fmt.Errorf("%w: end delta: %v", ErrWire, err)
-		}
-		e.End = math.Float64frombits(uint64(int64(start) + unzigzag(u)))
+		e.Start = math.Float64frombits(start)
+		e.End = math.Float64frombits(end)
 		dst = append(dst, e)
 	}
-	if len(body) != 0 {
-		return dst, fmt.Errorf("%w: %d trailing bytes in frame", ErrWire, len(body))
+	if len(r.buf) != 0 {
+		return dst, fmt.Errorf("%w: %d trailing bytes in frame", ErrWire, len(r.buf))
 	}
 	return dst, nil
-}
-
-// takeRef decodes one string reference against the given intern table
-// (which == 0 selects the region byte budget, 1 the activity one).
-func (d *WireDecoder) takeRef(body []byte, table *[]string, which int) (string, []byte, error) {
-	ref, body, err := takeUvarint(body)
-	if err != nil {
-		return "", body, fmt.Errorf("%w: string ref: %v", ErrWire, err)
-	}
-	if ref > 0 {
-		if ref > uint64(len(*table)) {
-			return "", body, fmt.Errorf("%w: string ref %d beyond table of %d", ErrWire, ref, len(*table))
-		}
-		return (*table)[ref-1], body, nil
-	}
-	n, body, err := takeUvarint(body)
-	if err != nil {
-		return "", body, fmt.Errorf("%w: string length: %v", ErrWire, err)
-	}
-	if n > maxNameLen {
-		return "", body, fmt.Errorf("%w: string length %d", ErrWire, n)
-	}
-	if uint64(len(body)) < n {
-		return "", body, fmt.Errorf("%w: string body truncated", ErrWire)
-	}
-	if len(*table) >= MaxWireStrings {
-		return "", body, fmt.Errorf("%w: string table full", ErrWire)
-	}
-	if d.tableBytes[which]+int(n) > maxWireTableBytes {
-		return "", body, fmt.Errorf("%w: string table byte budget exceeded", ErrWire)
-	}
-	s := string(body[:n])
-	*table = append(*table, s)
-	d.tableBytes[which] += int(n)
-	return s, body[n:], nil
-}
-
-// takeUvarint reads one uvarint from the front of body.
-func takeUvarint(body []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(body)
-	if n <= 0 {
-		return 0, body, errors.New("truncated or overlong varint")
-	}
-	return v, body[n:], nil
 }
