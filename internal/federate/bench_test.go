@@ -27,7 +27,7 @@ func benchFleet(b *testing.B) ([]*monitor.Collector, []Endpoint, *httptest.Serve
 	collectors := make([]*monitor.Collector, benchEndpoints)
 	endpoints := make([]Endpoint, benchEndpoints)
 	for i := range collectors {
-		c := monitor.NewCollector(monitor.Options{Shards: 1, Window: 0.25})
+		c := monitor.NewCollector(monitor.Options{Window: 0.25})
 		// A realistic scrape target: a job some minutes into its run, with
 		// a few hundred windows of trajectory behind it.
 		for _, e := range jobEvents(8, 0.3+0.01*float64(i)) {

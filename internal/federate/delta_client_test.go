@@ -70,7 +70,7 @@ func jsonScrapeBytes(tb testing.TB, base string) uint64 {
 // (gzip'd) would — the whole point of LIFP — and the federated cube must
 // be exactly the endpoint's own.
 func TestScrapeDeltaSavesBytes(t *testing.T) {
-	c := monitor.NewCollector(monitor.Options{Shards: 1, Window: 0.25})
+	c := monitor.NewCollector(monitor.Options{Window: 0.25})
 	for _, e := range jobEvents(16, 0.5) {
 		c.Record(e)
 	}
@@ -117,7 +117,7 @@ func TestScrapeDeltaSavesBytes(t *testing.T) {
 // endpoint goes stale at MaxFailures and never contributes a cube, and
 // no JSON document is fetched instead.
 func TestScrapeDeltaUnsupportedFails(t *testing.T) {
-	c := monitor.NewCollector(monitor.Options{Shards: 1})
+	c := monitor.NewCollector(monitor.Options{})
 	for _, e := range jobEvents(4, 0.3) {
 		c.Record(e)
 	}
@@ -168,7 +168,7 @@ func TestScrapeDeltaUnsupportedFails(t *testing.T) {
 // scrape — a hostile or broken endpoint cannot balloon the federator —
 // and the failure must be visible in health.
 func TestScrapeBodyBound(t *testing.T) {
-	c := monitor.NewCollector(monitor.Options{Shards: 1})
+	c := monitor.NewCollector(monitor.Options{})
 	for _, e := range jobEvents(8, 0.5) {
 		c.Record(e)
 	}
@@ -192,7 +192,7 @@ func TestScrapeBodyBound(t *testing.T) {
 // the new incarnation's state, never a merge of the two boots.
 func TestFederatorRestartMidDeltaStream(t *testing.T) {
 	var handler atomic.Value
-	c1 := monitor.NewCollector(monitor.Options{Shards: 1, Window: 0.5})
+	c1 := monitor.NewCollector(monitor.Options{Window: 0.5})
 	for _, e := range jobEvents(4, 0.5) {
 		c1.Record(e)
 	}
@@ -217,7 +217,7 @@ func TestFederatorRestartMidDeltaStream(t *testing.T) {
 
 	// Restart mid-stream: new boot nonce, fresh generations, different
 	// content at the same URL.
-	c2 := monitor.NewCollector(monitor.Options{Shards: 1, Window: 0.5})
+	c2 := monitor.NewCollector(monitor.Options{Window: 0.5})
 	for _, e := range jobEvents(2, 1.0) {
 		c2.Record(e)
 	}

@@ -23,7 +23,7 @@ const treeWindow = 0.5
 // bit for bit.
 func oracleCollector(t *testing.T, jobs []jobSpec) *monitor.Snapshot {
 	t.Helper()
-	c := monitor.NewCollector(monitor.Options{Shards: 1, Window: treeWindow})
+	c := monitor.NewCollector(monitor.Options{Window: treeWindow})
 	offset := 0
 	for _, job := range jobs {
 		for _, e := range job.events {
@@ -39,7 +39,7 @@ func oracleCollector(t *testing.T, jobs []jobSpec) *monitor.Snapshot {
 // startLeaf serves one job through a windowed collector.
 func startLeaf(t *testing.T, job jobSpec) *httptest.Server {
 	t.Helper()
-	c := monitor.NewCollector(monitor.Options{Shards: 1, Window: treeWindow})
+	c := monitor.NewCollector(monitor.Options{Window: treeWindow})
 	for _, e := range job.events {
 		c.Record(e)
 	}
@@ -183,7 +183,7 @@ func TestFederationTopologyProperty(t *testing.T) {
 // update must propagate through both tiers intact.
 func TestFederationTwoTierDelta(t *testing.T) {
 	job := jobSpec{name: "job0", procs: 3, events: jobEvents(3, 0.4)}
-	c := monitor.NewCollector(monitor.Options{Shards: 1, Window: treeWindow})
+	c := monitor.NewCollector(monitor.Options{Window: treeWindow})
 	for _, e := range job.events {
 		c.Record(e)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
@@ -110,14 +111,14 @@ func sameCube(t *testing.T, got, want *trace.Cube) {
 }
 
 // TestRecordBatchEquivalence: RecordBatch over arbitrary chunkings must be
-// bit-for-bit identical to per-event Record — same drops, same per-shard
+// bit-for-bit identical to per-event Record — same drops, same record
 // order, therefore the same fold — including a mid-stream snapshot that
-// exercises the drain/recycle path on both collectors.
+// exercises the ring drain on both collectors.
 func TestRecordBatchEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 10; trial++ {
 		events := batchEvents(rng, 400+rng.Intn(400), 9, true)
-		opts := Options{Shards: 4, Window: 0.25}
+		opts := Options{Window: 0.25}
 		ref := NewCollector(opts)
 		bat := NewCollector(opts)
 
@@ -140,14 +141,16 @@ func TestRecordBatchEquivalence(t *testing.T) {
 }
 
 // TestProducerEquivalence: per-rank SPSC producers must reproduce the
-// per-event Record fold bit for bit when the fold order matches — one
-// shard per rank and producers registered in rank order, so both paths
-// fold rank 0's events first, then rank 1's, and so on.
+// per-event Record fold bit for bit when the fold order matches. The
+// producers are registered in rank order, so a fold drains rank 0's
+// events first, then rank 1's, and so on; the reference collector records
+// the stream stably sorted by rank, so its Record ring folds in exactly
+// that order.
 func TestProducerEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const ranks = 8
 	events := batchEvents(rng, 1200, ranks, true)
-	opts := Options{Shards: ranks, Window: 0.25}
+	opts := Options{Window: 0.25}
 	ref := NewCollector(opts)
 	prod := NewCollector(opts)
 
@@ -156,26 +159,31 @@ func TestProducerEquivalence(t *testing.T) {
 		producers[r] = prod.Producer(ProducerOptions{})
 	}
 	for _, e := range events {
-		ref.Record(e)
 		r := e.Rank
 		if r < 0 {
 			// Malformed rank: any producer counts the drop identically.
 			r = 0
 		}
-		producers[r%ranks].Record(e)
+		producers[r%ranks].RecordBatch([]trace.Event{e})
+	}
+	sorted := append([]trace.Event(nil), events...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Rank < sorted[j].Rank })
+	for _, e := range sorted {
+		ref.Record(e)
 	}
 	sameSnapshot(t, prod.Snapshot(), ref.Snapshot())
 
-	// Closed, drained producers are pruned at the next fold.
+	// Closed, drained producers are pruned at the next fold; only the
+	// collector's own Record ring stays registered.
 	for _, p := range producers {
 		p.Close()
 	}
 	prod.Fold()
 	prod.prodMu.Lock()
-	left := len(prod.producers)
+	left := append([]*Producer(nil), prod.producers...)
 	prod.prodMu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d closed producers still registered after fold", left)
+	if len(left) != 1 || left[0] != prod.rec {
+		t.Fatalf("%d producers still registered after fold, want only the Record ring", len(left))
 	}
 }
 
@@ -183,7 +191,7 @@ func TestProducerEquivalence(t *testing.T) {
 // without blocking, counts it on the producer, and never corrupts the
 // collector's event accounting.
 func TestProducerDropOnFull(t *testing.T) {
-	c := NewCollector(Options{Shards: 1})
+	c := NewCollector(Options{})
 	p := c.Producer(ProducerOptions{DropOnFull: true})
 	events := batchEvents(rand.New(rand.NewSource(5)), DefaultIngestRing+92, 1, false)
 	p.RecordBatch(events)
@@ -203,7 +211,7 @@ func TestProducerDropOnFull(t *testing.T) {
 // producer stalls until the consumer folds the ring, so every event
 // arrives even from a batch of more than two rings.
 func TestProducerBackpressure(t *testing.T) {
-	c := NewCollector(Options{Shards: 1})
+	c := NewCollector(Options{})
 	p := c.Producer(ProducerOptions{})
 	events := batchEvents(rand.New(rand.NewSource(6)), 2*DefaultIngestRing+1000, 1, false)
 	done := make(chan struct{})
@@ -250,7 +258,7 @@ func TestProducerDropsMalformed(t *testing.T) {
 // claim: the steady-state producer publish path must perform no heap
 // allocations at all.
 func TestProducerRecordBatchAllocs(t *testing.T) {
-	c := NewCollector(Options{Shards: 1})
+	c := NewCollector(Options{})
 	// AllocsPerRun's warmup call plus every measured run fit the ring
 	// without a drain (and therefore without ever stalling).
 	p := c.Producer(ProducerOptions{})
@@ -264,14 +272,14 @@ func TestProducerRecordBatchAllocs(t *testing.T) {
 }
 
 // TestSteadyStateFoldAllocs: after warmup, a RecordBatch+Fold cycle —
-// publish into the sharded buffers, drain, fold — reaches an allocation
-// fixpoint: the drain recycles the shard buffers through the spare swap
-// instead of regrowing them from nil every cycle (the Snapshot drain-churn
-// fix), and the fold state has seen every cell and rank.
+// publish into the Record ring, fold, drain — reaches an allocation
+// fixpoint: each 512-event batch fills the 256-event ring, so the recorder
+// folds it once in place mid-batch and Fold drains the rest; no buffer is
+// copied or regrown, and the fold state has seen every cell and rank.
 func TestSteadyStateFoldAllocs(t *testing.T) {
-	c := NewCollector(Options{Shards: 2})
+	c := NewCollector(Options{})
 	batch := batchEvents(rand.New(rand.NewSource(8)), 512, 4, false)
-	for i := 0; i < 4; i++ { // reach the fixpoint: buffers grown, spares seeded
+	for i := 0; i < 4; i++ { // reach the fixpoint: every cell and rank seen
 		c.RecordBatch(batch)
 		c.Fold()
 	}
@@ -284,11 +292,11 @@ func TestSteadyStateFoldAllocs(t *testing.T) {
 	}
 }
 
-// TestSteadyStateProducerFoldAllocs: the same fixpoint for the ring path —
-// the drain copies spans into pooled slabs, so producer publish plus fold
+// TestSteadyStateProducerFoldAllocs: the same fixpoint for a Producer
+// ring — the drain folds spans in place, so producer publish plus fold
 // settles to zero allocations per cycle.
 func TestSteadyStateProducerFoldAllocs(t *testing.T) {
-	c := NewCollector(Options{Shards: 1})
+	c := NewCollector(Options{})
 	p := c.Producer(ProducerOptions{})
 	batch := batchEvents(rand.New(rand.NewSource(9)), 512, 4, false)
 	for i := 0; i < 4; i++ {
@@ -334,7 +342,7 @@ func TestFoldThenSnapshot(t *testing.T) {
 // durations are exactly 1.0, so the cube's total instrumented time counts
 // folded events exactly in float64.
 func TestBatchCounterDiscipline(t *testing.T) {
-	c := NewCollector(Options{Shards: 4})
+	c := NewCollector(Options{})
 	const (
 		writers       = 4
 		perWriter     = 200
@@ -401,7 +409,7 @@ func TestConcurrentProducersAndScraper(t *testing.T) {
 	// each, so their blocking producers stall on the scraper's folds. They
 	// span ~1,700 virtual seconds per rank; 8 s windows keep the series
 	// every scrape rebuilds at a few hundred windows.
-	c := NewCollector(Options{Shards: 4, Window: 8})
+	c := NewCollector(Options{Window: 8})
 	rng := rand.New(rand.NewSource(11))
 	const perSource = 3000
 	streams := make([][]trace.Event, 6)

@@ -12,13 +12,13 @@ import (
 
 // BenchmarkCollectorRecord measures the instrumentation hot path: one
 // Record call on an otherwise idle collector. The observability budget is
-// < 1 us/event (see EXPERIMENTS.md "Monitoring overhead"). This is the
-// worst case — nothing ever drains the shard, so the cost is dominated by
-// amortized buffer growth; with periodic snapshots draining the buffers
-// (the deployment shape, BenchmarkCollectorRecordWindowed) the per-event
-// cost is several times lower.
+// < 1 us/event (see EXPERIMENTS.md "Monitoring overhead"). Nothing else
+// ever drains the Record ring, so the recorder folds it itself every 256
+// events and the per-event cost includes that fold, amortized;
+// BenchmarkCollectorRecordWindowed adds periodic snapshots and the
+// windowing fold (the deployment shape).
 func BenchmarkCollectorRecord(b *testing.B) {
-	c := NewCollector(Options{Shards: 16})
+	c := NewCollector(Options{})
 	e := trace.Event{Rank: 3, Region: "loop 1", Activity: "computation", Start: 1, End: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -33,7 +33,7 @@ func BenchmarkCollectorRecord(b *testing.B) {
 // BenchmarkCollectorRecordParallel measures Record under contention from
 // many rank goroutines, the deployment shape of the daemon.
 func BenchmarkCollectorRecordParallel(b *testing.B) {
-	c := NewCollector(Options{Shards: 16})
+	c := NewCollector(Options{})
 	var rank atomic.Int64
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
@@ -45,10 +45,11 @@ func BenchmarkCollectorRecordParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkCollectorRecordWindowed includes the windowing fold cost paid
-// at snapshot time, amortized per recorded event.
+// BenchmarkCollectorRecordWindowed includes the windowing fold cost —
+// paid by the recorder whenever the Record ring fills and by the snapshot
+// every 1024 events — amortized per recorded event.
 func BenchmarkCollectorRecordWindowed(b *testing.B) {
-	c := NewCollector(Options{Shards: 16, Window: 1})
+	c := NewCollector(Options{Window: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -68,7 +69,7 @@ func BenchmarkCollectorRecordWindowed(b *testing.B) {
 // runs off the timer: like the Record baseline, this isolates the
 // producer-side publish cost.
 func BenchmarkRecordBatch(b *testing.B) {
-	c := NewCollector(Options{Shards: 1})
+	c := NewCollector(Options{})
 	p := c.Producer(ProducerOptions{})
 	batch := make([]trace.Event, 512)
 	for i := range batch {
@@ -103,7 +104,7 @@ func BenchmarkRecordBatch(b *testing.B) {
 // 1e9/ns_per_op events/sec; the acceptance floor is 10M events/sec (see
 // BENCH_ingest.json).
 func BenchmarkIngestWire(b *testing.B) {
-	c := NewCollector(Options{Shards: 1})
+	c := NewCollector(Options{})
 	srv := NewIngestServer(c, IngestOptions{})
 	sock := filepath.Join(b.TempDir(), "bench.sock")
 	if _, err := srv.Listen("unix:" + sock); err != nil {
@@ -168,11 +169,11 @@ func BenchmarkSelfInterference(b *testing.B) {
 	}
 	b.Run("detached", func(b *testing.B) { runWith(b, nil) })
 	b.Run("attached", func(b *testing.B) {
-		col := NewCollector(Options{Shards: 8})
+		col := NewCollector(Options{})
 		runWith(b, col)
 	})
 	b.Run("wire", func(b *testing.B) {
-		col := NewCollector(Options{Shards: 8})
+		col := NewCollector(Options{})
 		srv := NewIngestServer(col, IngestOptions{})
 		sock := filepath.Join(b.TempDir(), "interf.sock")
 		if _, err := srv.Listen("unix:" + sock); err != nil {

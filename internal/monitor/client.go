@@ -36,6 +36,9 @@ type ClientOptions struct {
 // append under a mutex. Transport errors are sticky: the client drops
 // subsequent events and reports the error from Flush, Err and Close —
 // instrumentation must keep running even when the observer goes away.
+// A client never reconnects: when the collector restarts, the first
+// failing write (over TCP possibly one flush late) makes the error sticky
+// and every later event is lost. To resume, dial a new client.
 type IngestClient struct {
 	mu      sync.Mutex
 	conn    net.Conn
@@ -48,8 +51,9 @@ type IngestClient struct {
 	stopped sync.WaitGroup
 }
 
-// DialIngest connects to a collector's ingest listener. The spec uses the
-// listener syntax: "unix:PATH" or "tcp:HOST:PORT".
+// DialIngest connects once to a collector's ingest listener (see
+// IngestClient on restarts). The spec uses the listener syntax:
+// "unix:PATH" or "tcp:HOST:PORT".
 func DialIngest(spec string, opts ClientOptions) (*IngestClient, error) {
 	network, addr, err := ParseIngestSpec(spec)
 	if err != nil {

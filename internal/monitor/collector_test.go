@@ -3,6 +3,7 @@ package monitor
 import (
 	"encoding/json"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -230,7 +231,7 @@ func TestSnapshotEventsMatchCube(t *testing.T) {
 		eventsPerRank = 3000
 		snapshots     = 60
 	)
-	c := NewCollector(Options{Shards: 2, Window: 50})
+	c := NewCollector(Options{Window: 50})
 	var wg sync.WaitGroup
 	for rank := 0; rank < writers; rank++ {
 		wg.Add(1)
@@ -389,7 +390,7 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 		eventsPerRank  = 2000
 		snapshotRounds = 50
 	)
-	c := NewCollector(Options{Shards: 4, Window: 10})
+	c := NewCollector(Options{Window: 10})
 	var wg sync.WaitGroup
 	for rank := 0; rank < writers; rank++ {
 		wg.Add(1)
@@ -428,6 +429,41 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 	got := snap.Cube.RegionsTotal() * float64(snap.Cube.NumProcs())
 	if math.Abs(got-wantTotal) > 1e-6 {
 		t.Fatalf("total processor-seconds = %g, want %g", got, wantTotal)
+	}
+}
+
+// TestRecordBoundedWithoutConsumer: a collector nobody scrapes must not
+// grow with the events recorded into it. Four recorders refill the Record
+// ring over and over with no Snapshot or Fold; each full ring folds in
+// place into the running totals, whose cells and windows this stream
+// fills within its first few events, so recording allocates next to
+// nothing — not the 14 MiB the events themselves occupy.
+func TestRecordBoundedWithoutConsumer(t *testing.T) {
+	const (
+		writers   = 4
+		perWriter = 65536
+	)
+	c := NewCollector(Options{Window: 1})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var wg sync.WaitGroup
+	for rank := 0; rank < writers; rank++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				start := float64(i%100) / 10
+				c.Record(trace.Event{Rank: rank, Region: "r", Activity: "a", Start: start, End: start + 0.05})
+			}
+		}(rank)
+	}
+	wg.Wait()
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("recording %d events with no consumer allocated %d bytes, want < 1 MiB", writers*perWriter, grew)
+	}
+	if snap := c.Snapshot(); snap.Events != writers*perWriter {
+		t.Fatalf("final snapshot has %d events, want %d", snap.Events, writers*perWriter)
 	}
 }
 

@@ -68,7 +68,7 @@ func FuzzRecordSnapshot(f *testing.F) {
 			wantTotal += end - start
 			wantEvents++
 		}
-		c := NewCollector(Options{Shards: 4, Window: window})
+		c := NewCollector(Options{Window: window})
 		var wg sync.WaitGroup
 		half := len(steps) / 2
 		for _, part := range [][]step{steps[:half], steps[half:]} {

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -30,12 +31,12 @@ func TestIngestEndToEnd(t *testing.T) {
 	for _, spec := range ingestSpecs(t) {
 		t.Run(strings.SplitN(spec, ":", 2)[0], func(t *testing.T) {
 			events := batchEvents(rand.New(rand.NewSource(21)), 5000, 6, false)
-			ref := NewCollector(Options{Shards: 1, Window: 0.25})
+			ref := NewCollector(Options{Window: 0.25})
 			for _, e := range events {
 				ref.Record(e)
 			}
 
-			c := NewCollector(Options{Shards: 1, Window: 0.25})
+			c := NewCollector(Options{Window: 0.25})
 			srv := NewIngestServer(c, IngestOptions{})
 			addr, err := srv.Listen(spec)
 			if err != nil {
@@ -157,7 +158,7 @@ func TestIngestCorruptStream(t *testing.T) {
 // TestIngestManyConnections: concurrent clients over one listener all
 // land, and closed connections fold their loss counters into the totals.
 func TestIngestManyConnections(t *testing.T) {
-	c := NewCollector(Options{Shards: 8})
+	c := NewCollector(Options{})
 	srv := NewIngestServer(c, IngestOptions{})
 	sock := filepath.Join(t.TempDir(), "many.sock")
 	if _, err := srv.Listen("unix:" + sock); err != nil {
@@ -200,6 +201,93 @@ func TestIngestManyConnections(t *testing.T) {
 	}
 }
 
+// TestIngestClientServerRestart pins what a client does when its
+// collector restarts: it fails loudly and never reconnects. After the
+// server closes and a new one listens on the same address, Record+Flush
+// fails within a few flushes (over TCP the first write after the close
+// may only draw the peer's reset), Err and Close report that error, later
+// Records return at once, and the new server hears nothing from the old
+// client.
+func TestIngestClientServerRestart(t *testing.T) {
+	for _, spec := range ingestSpecs(t) {
+		t.Run(strings.SplitN(spec, ":", 2)[0], func(t *testing.T) {
+			c := NewCollector(Options{})
+			srv := NewIngestServer(c, IngestOptions{})
+			addr, err := srv.Listen(spec)
+			if err != nil {
+				t.Fatalf("listen %s: %v", spec, err)
+			}
+			if strings.HasPrefix(spec, "tcp:") {
+				spec = "tcp:" + addr.String() // resolve the :0 port
+			}
+			cl, err := DialIngest(spec, ClientOptions{FlushInterval: -1})
+			if err != nil {
+				t.Fatalf("dial %s: %v", spec, err)
+			}
+			e := trace.Event{Rank: 0, Region: "r", Activity: "a", Start: 0, End: 1}
+			cl.Record(e)
+			if err := cl.Flush(); err != nil {
+				t.Fatalf("flush before the restart: %v", err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for c.Events() < 1 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if err := srv.Close(); err != nil {
+				t.Fatalf("closing the first server: %v", err)
+			}
+			if got := c.Snapshot().Events; got != 1 {
+				t.Fatalf("first server folded %d events, want 1", got)
+			}
+
+			c2 := NewCollector(Options{})
+			srv2 := NewIngestServer(c2, IngestOptions{})
+			if _, err := srv2.Listen(spec); err != nil {
+				t.Fatalf("relisten %s: %v", spec, err)
+			}
+			defer srv2.Close()
+
+			var failed error
+			for flushes := 0; flushes < 50 && failed == nil; flushes++ {
+				cl.Record(e)
+				if failed = cl.Flush(); failed == nil {
+					time.Sleep(10 * time.Millisecond)
+				}
+			}
+			if failed == nil {
+				t.Fatal("50 flushes after the restart all succeeded")
+			}
+			if err := cl.Err(); !errors.Is(err, failed) {
+				t.Fatalf("Err() = %v, want the flush error %v", err, failed)
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < 10*1024; i++ {
+					cl.Record(e)
+				}
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Record blocked after the stream failed")
+			}
+			if err := cl.Close(); !errors.Is(err, failed) {
+				t.Fatalf("Close() = %v, want the flush error %v", err, failed)
+			}
+			if err := srv2.Close(); err != nil {
+				t.Fatalf("closing the second server: %v", err)
+			}
+			if got := srv2.Events(); got != 0 {
+				t.Fatalf("new server decoded %d events from the old client, want 0", got)
+			}
+			if got := srv2.connSeq.Load(); got != 0 {
+				t.Fatalf("new server accepted %d connections, want 0", got)
+			}
+		})
+	}
+}
+
 // TestParseIngestSpec covers the spec syntax and its errors.
 func TestParseIngestSpec(t *testing.T) {
 	if n, a, err := ParseIngestSpec("unix:/tmp/x.sock"); err != nil || n != "unix" || a != "/tmp/x.sock" {
@@ -223,7 +311,7 @@ func TestParseIngestSpec(t *testing.T) {
 // Welford accumulators permanently) must be dropped and counted like any
 // other malformed event, while the rest of the stream keeps folding.
 func TestIngestHostileEvents(t *testing.T) {
-	c := NewCollector(Options{Shards: 1})
+	c := NewCollector(Options{})
 	srv := NewIngestServer(c, IngestOptions{})
 	addr, err := srv.Listen("tcp:127.0.0.1:0")
 	if err != nil {

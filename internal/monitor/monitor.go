@@ -9,21 +9,27 @@
 //
 // The design separates the hot path from the analysis path:
 //
-//   - Record appends the event to a sharded buffer under a per-shard
-//     mutex — a few dozen nanoseconds, far below the sub-microsecond
-//     budget of instrumentation (see BenchmarkCollectorRecord).
-//   - RecordBatch amortizes those costs over whole batches (one lock
-//     acquisition per same-shard run, one counter bump per batch), and a
-//     Producer handle removes the locks entirely: a per-source SPSC ring
-//     whose steady-state publish path performs zero heap allocations (see
-//     ring.go and BenchmarkRecordBatch). The network ingest listener
-//     (ingest.go) feeds one Producer per connection.
-//   - Snapshot drains the shards and the producer rings, folds the
-//     drained events into the running totals (per-cell wall clock sums,
-//     Welford event-duration accumulators from internal/stats, per-window
-//     processor loads) and publishes an immutable *Snapshot through an
-//     atomic pointer. Drained buffers are recycled, so steady-state
-//     collection reaches an allocation fixpoint.
+//   - Every event reaches the fold through a producer ring: one SPSC
+//     ring per event source, whose publish path takes no lock and
+//     performs zero heap allocations (see ring.go and
+//     BenchmarkRecordBatch). A Producer handle is one such source; the
+//     network ingest listener (ingest.go) feeds one Producer per
+//     connection.
+//   - Record and RecordBatch publish into the collector's own 256-event
+//     ring (recordRing), registered before any other. A mutex makes every
+//     in-process caller that ring's single producer, so recording costs
+//     one lock, a copy into the ring and a counter bump (see
+//     BenchmarkCollectorRecord). When the ring is full, the recording
+//     goroutine folds it itself; only if a Snapshot or Fold holds the fold
+//     at that moment does it wait, until that fold has drained the ring —
+//     at worst until that Snapshot or Fold returns. Memory without a
+//     consumer is therefore bounded by the ring.
+//   - Snapshot drains the rings in registration order — the Record ring
+//     first — folding each span in place into the running totals (per-cell
+//     wall clock sums, Welford event-duration accumulators from
+//     internal/stats, per-window processor loads) and publishes an
+//     immutable *Snapshot through an atomic pointer. Nothing is copied out
+//     of the rings, so steady-state collection allocates nothing.
 //   - Latest returns the most recently published snapshot without taking
 //     any lock, so readers never block writers and vice versa.
 package monitor
@@ -39,12 +45,9 @@ import (
 	"loadimb/internal/trace"
 )
 
-// Options configures a Collector. The zero value is usable: 8 shards, no
-// preset dimension order, no temporal windows.
+// Options configures a Collector. The zero value is usable: no preset
+// dimension order, no temporal windows.
 type Options struct {
-	// Shards is the number of event buffers Record spreads load across;
-	// it is rounded up to a power of two. 0 means 8.
-	Shards int
 	// Window is the width, in virtual seconds, of the temporal windows
 	// the collector tracks per-processor load in (the imbalance
 	// trajectory served at /timeline.json). 0 disables windowing.
@@ -90,19 +93,15 @@ const DefaultMaxRank = 1 << 20
 // trace.Sink. Create one with NewCollector.
 type Collector struct {
 	window  float64
-	mask    uint64
 	boot    uint64
 	maxRank int
-	shards  []shard
 	events  atomic.Uint64
 	dropped atomic.Uint64
 
-	// spare holds, per shard, the previously drained buffer awaiting
-	// reuse: the drain hands it (emptied) to the shard it came from at the
-	// next swap, so a steady Record-between-scrapes cycle recirculates two
-	// buffers per shard instead of reallocating from zero every scrape.
-	// Only the fold path touches it (under foldMu).
-	spare [][]trace.Event
+	// recMu makes every Record/RecordBatch caller the single producer of
+	// rec, the collector's own ring.
+	recMu sync.Mutex
+	rec   *Producer
 
 	// prodMu guards the SPSC producer registry; registration is rare, so
 	// the fold copies the list under the lock and drains outside it.
@@ -110,8 +109,8 @@ type Collector struct {
 	producers   []*Producer
 	prodScratch []*Producer
 
-	// foldMu serializes snapshotters; it is never held while a shard
-	// mutex is held longer than a buffer swap.
+	// foldMu serializes the consumers of every ring: snapshotters,
+	// background folds and a recorder folding its full ring.
 	foldMu sync.Mutex
 	state  foldState
 	// gen counts published snapshot generations; it only advances when a
@@ -122,24 +121,8 @@ type Collector struct {
 	snap atomic.Pointer[Snapshot]
 }
 
-// shard is one Record buffer. The padding keeps shards on distinct cache
-// lines so ranks hashing to different shards do not false-share.
-type shard struct {
-	mu  sync.Mutex
-	buf []trace.Event
-	_   [24]byte
-}
-
 // NewCollector creates a collector with the given options.
 func NewCollector(opts Options) *Collector {
-	n := opts.Shards
-	if n <= 0 {
-		n = 8
-	}
-	pow := 1
-	for pow < n {
-		pow *= 2
-	}
 	maxRank := opts.MaxRank
 	switch {
 	case maxRank == 0:
@@ -149,12 +132,10 @@ func NewCollector(opts Options) *Collector {
 	}
 	c := &Collector{
 		window:  opts.Window,
-		mask:    uint64(pow - 1),
-		shards:  make([]shard, pow),
-		spare:   make([][]trace.Event, pow),
 		boot:    BootNonce(),
 		maxRank: maxRank,
 	}
+	c.rec = c.newProducer(recordRing, false)
 	c.state.init(opts.Regions, opts.Activities)
 	if opts.Window > 0 {
 		// The windowing itself lives in internal/temporal — the one
@@ -198,9 +179,14 @@ func BootNonce() uint64 {
 
 var bootSeq atomic.Uint64
 
-// Record folds one event into the collector. It is safe for concurrent
-// use and sits on the instrumented program's critical path, so it only
-// appends to a sharded buffer; the aggregation happens at Snapshot.
+// Record folds one event into the collector; it is RecordBatch of a
+// one-event batch. It is safe for concurrent use and sits on the
+// instrumented program's critical path, so it only publishes into the
+// collector's Record ring; the aggregation happens when a fold drains it.
+// Record waits only when that ring is full: it then folds the ring
+// itself, or, while a Snapshot or Fold holds the fold, waits until that
+// fold has drained the ring (at worst until the Snapshot or Fold
+// returns).
 // Malformed events (rank outside [0, MaxRank], empty names, end before
 // start, start before virtual time zero, non-finite timestamps) are
 // dropped and counted instead of corrupting the cube. A live run's
@@ -209,19 +195,12 @@ var bootSeq atomic.Uint64
 // into negative-index windows), but the live wire format has no place
 // for windows before the run began.
 func (c *Collector) Record(e trace.Event) {
-	if c.malformed(e) {
-		c.dropped.Add(1)
-		return
-	}
-	s := &c.shards[uint64(e.Rank)&c.mask]
-	s.mu.Lock()
-	s.buf = append(s.buf, e)
-	s.mu.Unlock()
-	c.events.Add(1)
+	batch := [1]trace.Event{e}
+	c.RecordBatch(batch[:])
 }
 
-// malformed is the validity test of Record, shared by every intake path
-// so the batched and wire paths drop exactly what Record drops. The
+// malformed is the validity test every producer ring applies, so the
+// Record ring and the wire path drop exactly the same events. The
 // timestamp tests are spelled with negated comparisons so NaN fails
 // them (every ordered comparison against NaN is false): the wire
 // decoder reconstructs timestamps from arbitrary IEEE-754 bit patterns,
@@ -236,41 +215,16 @@ func (c *Collector) malformed(e trace.Event) bool {
 		!(e.Start >= 0) || !(e.End >= e.Start) || e.End > math.MaxFloat64
 }
 
-// RecordBatch folds a whole batch with batch-granular costs: events are
-// appended to the sharded buffers in runs (one lock acquisition per run
-// of same-shard events instead of one per event) and the counters are
-// bumped once per batch instead of once per event. The result is
-// bit-for-bit identical to calling Record on each event in order — same
-// drops, same per-shard order, therefore the same fold. The batch slice
-// is not retained. For the highest rates, prefer a Producer ring, which
-// removes the locks entirely.
+// RecordBatch folds a whole batch with batch-granular costs: one lock
+// acquisition and one counter bump per batch. Events fold in record
+// order, so the result is bit-for-bit identical to calling Record on each
+// event in order — same drops, therefore the same fold. The batch slice
+// is not retained. A caller that owns its event source outright can skip
+// the lock with its own Producer ring.
 func (c *Collector) RecordBatch(events []trace.Event) {
-	var recorded, malformed uint64
-	i := 0
-	for i < len(events) {
-		if c.malformed(events[i]) {
-			malformed++
-			i++
-			continue
-		}
-		sh := uint64(events[i].Rank) & c.mask
-		j := i + 1
-		for j < len(events) && !c.malformed(events[j]) && uint64(events[j].Rank)&c.mask == sh {
-			j++
-		}
-		s := &c.shards[sh]
-		s.mu.Lock()
-		s.buf = append(s.buf, events[i:j]...)
-		s.mu.Unlock()
-		recorded += uint64(j - i)
-		i = j
-	}
-	if recorded > 0 {
-		c.events.Add(recorded)
-	}
-	if malformed > 0 {
-		c.dropped.Add(malformed)
-	}
+	c.recMu.Lock()
+	c.rec.RecordBatch(events)
+	c.recMu.Unlock()
 }
 
 // Events returns the number of events recorded so far (including ones
@@ -284,16 +238,18 @@ func (c *Collector) Dropped() uint64 { return c.dropped.Load() }
 // seconds; 0 when windowing is disabled.
 func (c *Collector) Window() float64 { return c.window }
 
-// Snapshot drains the buffered events, folds them into the running
+// Snapshot drains the producer rings, folds their events into the running
 // aggregation and publishes the resulting immutable snapshot, which it
-// also returns. Concurrent Record calls are only blocked for the length
-// of one buffer swap; concurrent Snapshot calls serialize.
+// also returns. Concurrent Snapshot calls serialize. A concurrent Record
+// blocks only if it fills the Record ring while Snapshot runs: it then
+// waits until Snapshot has drained that ring, at worst until Snapshot
+// returns.
 func (c *Collector) Snapshot() *Snapshot {
 	c.foldMu.Lock()
 	defer c.foldMu.Unlock()
 	// Capture the drop counter before draining. The event counter is NOT
 	// read from c.events: a Record racing with the drain could already
-	// have bumped it without its event being in the drained buffers, and
+	// have bumped it without its event being in the drained rings, and
 	// a published snapshot must never claim events its cube does not
 	// account for. foldState.folded counts exactly the folded events.
 	dropped := c.dropped.Load()
@@ -315,13 +271,13 @@ func (c *Collector) Snapshot() *Snapshot {
 }
 
 // Latest returns the most recently published snapshot without draining
-// the buffers or taking any lock; it returns nil before the first
+// the rings or taking any lock; it returns nil before the first
 // Snapshot call.
 func (c *Collector) Latest() *Snapshot { return c.snap.Load() }
 
-// Fold drains every pending event — sharded buffers and producer rings —
-// into the running aggregation without building or publishing a snapshot,
-// and reports how many events it folded. Background folders (the ingest
+// Fold drains every pending event from the producer rings into the
+// running aggregation without building or publishing a snapshot, and
+// reports how many events it folded. Background folders (the ingest
 // listener runs one) call it between scrapes so producer rings stay
 // shallow at high event rates; the next Snapshot then only folds the
 // tail. Also note that a fold changes no observable snapshot state: Gen
@@ -332,37 +288,18 @@ func (c *Collector) Fold() int {
 	return c.foldPending()
 }
 
-// foldPending drains the sharded buffers and the producer rings into the
-// fold state, returning the number of events folded. The caller holds
-// foldMu. Drained shard buffers are recycled: each shard gets its
-// previously drained (now empty) buffer back at the swap, so steady-state
-// recording reallocates nothing — the fix for the drain-alloc churn where
-// every Record-between-scrapes cycle regrew the buffers from nil.
+// foldPending drains the producer rings into the fold state, returning
+// the number of events folded. The caller holds foldMu. The registry is
+// copied under its own lock so a connection registering mid-fold neither
+// blocks nor is missed for longer than one fold; drain order is
+// registration order — the Record ring first — keeping the fold
+// deterministic for a fixed set of producers.
 func (c *Collector) foldPending() int {
-	drained := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		buf := s.buf
-		s.buf = c.spare[i]
-		s.mu.Unlock()
-		c.spare[i] = nil
-		for _, e := range buf {
-			c.state.fold(e)
-		}
-		drained += len(buf)
-		if cap(buf) <= maxRecycledSlab {
-			c.spare[i] = buf[:0]
-		}
-	}
-	// Drain the SPSC rings. The registry is copied under its own lock so
-	// a connection registering mid-fold neither blocks nor is missed for
-	// longer than one fold; drain order is registration order, keeping
-	// the fold deterministic for a fixed set of producers.
 	c.prodMu.Lock()
 	prods := append(c.prodScratch[:0], c.producers...)
 	c.prodScratch = prods
 	c.prodMu.Unlock()
+	drained := 0
 	pruned := false
 	for _, p := range prods {
 		drained += p.drain(&c.state)

@@ -1,15 +1,15 @@
 package monitor
 
-// This file implements the collector's high-throughput producer path: a
-// single-producer single-consumer (SPSC) ring buffer of events per
-// producer, drained by the fold under foldMu. One producer is one event
-// source — a rank's instrumentation thread, or one ingest connection —
-// and owns its ring exclusively, so the steady-state publish path is two
-// atomic loads, a memcpy into the ring, and one atomic store: no locks,
-// no channel, and zero heap allocations (the acceptance guard is
-// TestProducerRecordBatchAllocs). The consumer copies ring spans into
-// pooled slabs before folding, releasing ring space to the producer as
-// early as possible.
+// This file implements the collector's intake: a single-producer
+// single-consumer (SPSC) ring buffer of events per producer, drained by
+// the fold under foldMu. One producer is one event source — the
+// collector's own Record path, a rank's instrumentation thread, or one
+// ingest connection — and owns its ring exclusively, so the steady-state
+// publish path is two atomic loads, a memcpy into the ring, and one
+// atomic store: no locks, no channel, and zero heap allocations (the
+// acceptance guard is TestProducerRecordBatchAllocs). The consumer folds
+// ring spans in place, releasing each chunk's space to the producer as
+// soon as it is folded.
 
 import (
 	"runtime"
@@ -20,26 +20,25 @@ import (
 )
 
 const (
-	// slabSize is the event capacity of the pooled drain slabs, and the
-	// decode batch size of the ingest path.
+	// slabSize is the largest span a drain folds before releasing it to
+	// the producer, and the capacity of the pooled ingest decode buffers.
 	slabSize = 4096
-	// maxRecycledSlab bounds the shard buffers kept for reuse across
-	// drains: a burst may grow a buffer far beyond the steady state, and
-	// recycling a monster would pin its memory forever.
-	maxRecycledSlab = 1 << 16
+	// recordRing is the capacity in events of the collector's own ring,
+	// the one Record and RecordBatch publish into. It is small because
+	// every collector pays for it and a recorder folds it whenever it
+	// fills, so it only has to absorb the burst between two folds.
+	recordRing = 256
 )
 
-// slabPool recycles the drain-side event slabs: ring drains, shift
-// scratch and ingest decode buffers all draw from it, so the steady state
-// of every batched path reuses a handful of arrays instead of allocating
-// per cycle.
+// slabPool recycles the ingest decode buffers, so connection churn reuses
+// a handful of arrays instead of allocating one per connection.
 var slabPool = sync.Pool{New: func() any {
 	s := make([]trace.Event, 0, slabSize)
 	return &s
 }}
 
-// ProducerOptions configures one SPSC producer handle. Every producer
-// ring holds DefaultIngestRing events.
+// ProducerOptions configures one SPSC producer handle. Every ring a
+// Producer call creates holds DefaultIngestRing events.
 type ProducerOptions struct {
 	// DropOnFull selects the overflow policy. False (default) applies
 	// backpressure: RecordBatch spins (yielding) until the consumer frees
@@ -51,7 +50,7 @@ type ProducerOptions struct {
 
 // A Producer is a lock-free single-producer handle onto a collector: an
 // SPSC ring the collector drains at every fold. Exactly one goroutine may
-// call Record/RecordBatch/Close on a given Producer; any number of
+// call RecordBatch/Close on a given Producer; any number of
 // producers may feed the same collector concurrently. Create one with
 // Collector.Producer, and Close it when the source ends so the collector
 // can release the ring after the final drain.
@@ -84,11 +83,17 @@ type Producer struct {
 // Producer registers and returns a new SPSC producer handle on the
 // collector.
 func (c *Collector) Producer(opts ProducerOptions) *Producer {
+	return c.newProducer(DefaultIngestRing, opts.DropOnFull)
+}
+
+// newProducer registers a producer over a ring of size events, a power of
+// two.
+func (c *Collector) newProducer(size int, drop bool) *Producer {
 	p := &Producer{
 		c:    c,
-		ring: make([]trace.Event, DefaultIngestRing),
-		mask: DefaultIngestRing - 1,
-		drop: opts.DropOnFull,
+		ring: make([]trace.Event, size),
+		mask: uint64(size - 1),
+		drop: drop,
 	}
 	c.prodMu.Lock()
 	c.producers = append(c.producers, p)
@@ -96,17 +101,10 @@ func (c *Collector) Producer(opts ProducerOptions) *Producer {
 	return p
 }
 
-// Record publishes one event; it is RecordBatch of a one-event batch.
-func (p *Producer) Record(e trace.Event) {
-	batch := [1]trace.Event{e}
-	p.RecordBatch(batch[:])
-}
-
-// RecordBatch publishes a batch of events into the ring: the steady-state
-// hot path of the batched ingest subsystem. Malformed events are dropped
-// and counted exactly as Collector.Record would (the batched path is
-// bit-for-bit equivalent to per-event recording); the event counter is
-// bumped once per batch. The batch slice is not retained.
+// RecordBatch publishes a batch of events into the ring: the hot path of
+// every intake, Collector.Record included. Malformed events are dropped
+// and counted on the collector (see Collector.Record); the event counter
+// is bumped once per batch. The batch slice is not retained.
 func (p *Producer) RecordBatch(events []trace.Event) {
 	var written, malformed, lost uint64
 	ring, mask := p.ring, p.mask
@@ -130,7 +128,7 @@ func (p *Producer) RecordBatch(events []trace.Event) {
 			}
 			p.stalls.Add(1)
 			for size-(tail-p.head.Load()) == 0 {
-				runtime.Gosched()
+				p.wait()
 			}
 			continue
 		}
@@ -159,6 +157,21 @@ func (p *Producer) RecordBatch(events []trace.Event) {
 	}
 }
 
+// wait lets the consumer of a full ring free space. The collector's own
+// Record ring has no background consumer, so its recorder folds the ring
+// itself when the fold is free; while a Snapshot or Fold holds it, the
+// recorder yields, and that fold drains the Record ring first. Any other
+// ring yields to its consumer — for an ingest connection, the
+// IngestServer's background folder.
+func (p *Producer) wait() {
+	if p == p.c.rec && p.c.foldMu.TryLock() {
+		p.drain(&p.c.state)
+		p.c.foldMu.Unlock()
+		return
+	}
+	runtime.Gosched()
+}
+
 // Dropped returns the number of events discarded because the ring was
 // full (DropOnFull mode).
 func (p *Producer) Dropped() uint64 { return p.dropped.Load() }
@@ -175,20 +188,15 @@ func (p *Producer) Pending() int { return int(p.tail.Load() - p.head.Load()) }
 // at the next fold and then unregisters the handle.
 func (p *Producer) Close() { p.closed.Store(true) }
 
-// drain consumes every event currently in the ring into the fold state.
-// It runs under Collector.foldMu (single consumer). Ring spans are copied
-// into a pooled slab and the consumer cursor advanced *before* folding,
-// so the producer regains the space while the fold — the expensive part —
-// is still running.
+// drain folds every event currently in the ring into the fold state. It
+// runs under Collector.foldMu (single consumer). Spans are folded in place,
+// straight from the ring slots, in chunks of at most slabSize events, and
+// the consumer cursor advances after each chunk, so a stalled producer
+// regains space while the rest of the drain is still folding.
 func (p *Producer) drain(st *foldState) int {
 	head := p.head.Load()
 	tail := p.tail.Load()
-	if head == tail {
-		return 0
-	}
 	total := int(tail - head)
-	sp := slabPool.Get().(*[]trace.Event)
-	slab := *sp
 	for head != tail {
 		n := tail - head
 		if n > slabSize {
@@ -198,14 +206,11 @@ func (p *Producer) drain(st *foldState) int {
 		if wrap := uint64(len(p.ring)) - idx; n > wrap {
 			n = wrap
 		}
-		slab = append(slab[:0], p.ring[idx:idx+n]...)
-		head += n
-		p.head.Store(head)
-		for _, e := range slab {
+		for _, e := range p.ring[idx : idx+n] {
 			st.fold(e)
 		}
+		head += n
+		p.head.Store(head)
 	}
-	*sp = slab[:0]
-	slabPool.Put(sp)
 	return total
 }

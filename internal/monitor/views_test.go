@@ -145,7 +145,7 @@ func TestScrapeReuseServesIdenticalMetrics(t *testing.T) {
 
 // TestConcurrentAnalyzeAndRecord hammers a collector with concurrent
 // recorders, snapshotters, full core analyses and metric scrapes; under
-// -race this verifies the whole live-analysis path — sharded Record,
+// -race this verifies the whole live-analysis path — the Record ring,
 // snapshot publication, lazy marginal fill, memoized views and the
 // parallel region pool — is data-race free.
 func TestConcurrentAnalyzeAndRecord(t *testing.T) {
