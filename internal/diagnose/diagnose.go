@@ -26,7 +26,9 @@ package diagnose
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"loadimb/internal/cluster"
 	"loadimb/internal/temporal"
@@ -199,15 +201,74 @@ type Report struct {
 // (Segment output over ser.Stats(), or the live path's summarized
 // phases); opts zero value serves the defaults.
 func Diagnose(ser *temporal.Series, phases []temporal.Phase, opts Options) *Report {
+	return (*Memo)(nil).Diagnose(ser, phases, opts)
+}
+
+// Memo is Diagnose with per-phase reuse across calls: a phase whose input
+// equals the previous call's — the same Phase value at the same ordinal,
+// the same dimensions and Options, and a bit-identical fingerprint matrix
+// — takes that call's cohorts and findings instead of being clustered
+// again. The key is the input itself, so a stale result cannot be served;
+// fingerprints are cheap, the clustering is what the memo saves. Only the
+// latest call's phases are kept. A live collector owns one and diagnoses
+// every snapshot generation through it, so a generation that appended a
+// window re-clusters the phase that grew, not the whole run. The zero
+// value is ready to use; a nil Memo diagnoses statelessly. A Memo is safe
+// for concurrent use.
+type Memo struct {
+	mu   sync.Mutex
+	last *memoCall
+}
+
+// memoCall is one call's reuse key beyond the per-phase input, and its
+// per-phase results.
+type memoCall struct {
+	dims   []Dimension
+	opts   Options
+	phases []memoPhase
+}
+
+// memoPhase is one phase's input and diagnosis.
+type memoPhase struct {
+	phase    temporal.Phase
+	points   [][]float64
+	pd       PhaseDiagnosis
+	findings []Finding
+}
+
+// Diagnose returns exactly what a stateless diagnosis of the same
+// arguments returns; a nil m keeps no state and reuses nothing.
+func (m *Memo) Diagnose(ser *temporal.Series, phases []temporal.Phase, opts Options) *Report {
+	if m == nil {
+		rep, _ := diagnose(ser, phases, opts, nil)
+		return rep
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rep, call := diagnose(ser, phases, opts, m.last)
+	m.last = call
+	return rep
+}
+
+// diagnose is the one diagnosis body. prev is the previous call of a Memo
+// (nil for none); the returned call is this one's, for the Memo to keep.
+func diagnose(ser *temporal.Series, phases []temporal.Phase, opts Options, prev *memoCall) (*Report, *memoCall) {
 	rep := &Report{}
 	if ser == nil {
-		return rep
+		return rep, nil
 	}
 	rep.Window = ser.Window
 	rep.Procs = ser.Procs
 	rep.Dimensions = dimensions(ser)
 	if ser.Procs < 2 || len(phases) == 0 || len(rep.Dimensions) == 0 {
-		return rep
+		return rep, nil
+	}
+	// The key keeps its own copy of the labels: the caller may reuse the
+	// slice.
+	opts.RankLabels = append([]string(nil), opts.RankLabels...)
+	call := &memoCall{dims: rep.Dimensions, opts: opts, phases: make([]memoPhase, 0, len(phases))}
+	if prev != nil && !(slices.Equal(prev.dims, call.dims) && sameOptions(prev.opts, opts)) {
+		prev = nil
 	}
 	// Member windows are contiguous in the series: phases partition the
 	// window sequence in order, so one cursor walks it once.
@@ -220,11 +281,19 @@ func Diagnose(ser *temporal.Series, phases []temporal.Phase, opts Options) *Repo
 		for pos < len(ser.Windows) && ser.Windows[pos].Index <= ph.LastWindow {
 			pos++
 		}
-		pd := PhaseDiagnosis{Phase: i + 1, Start: ph.Start, End: ph.End, Label: ph.Label}
-		points := fingerprints(ser, rep.Dimensions, first, pos, ph)
-		diagnosePhase(rep, &pd, points, opts)
-		rep.Phases = append(rep.Phases, pd)
+		e := memoPhase{phase: ph, points: fingerprints(ser, rep.Dimensions, first, pos, ph)}
+		if prev != nil && i < len(prev.phases) && prev.phases[i].phase == ph && samePoints(prev.phases[i].points, e.points) {
+			e.pd, e.findings = prev.phases[i].pd, prev.phases[i].findings
+		} else {
+			e.pd = PhaseDiagnosis{Phase: i + 1, Start: ph.Start, End: ph.End, Label: ph.Label}
+			e.findings = diagnosePhase(rep.Dimensions, &e.pd, e.points, opts)
+		}
+		rep.Phases = append(rep.Phases, e.pd)
+		rep.Findings = append(rep.Findings, e.findings...)
+		call.phases = append(call.phases, e)
 	}
+	// A total order — a rank has at most one finding per phase — so the
+	// order does not depend on which phases were reused.
 	sort.SliceStable(rep.Findings, func(a, b int) bool {
 		fa, fb := rep.Findings[a], rep.Findings[b]
 		if fa.Score != fb.Score {
@@ -235,7 +304,31 @@ func Diagnose(ser *temporal.Series, phases []temporal.Phase, opts Options) *Repo
 		}
 		return fa.Rank < fb.Rank
 	})
-	return rep
+	return rep, call
+}
+
+// sameOptions reports whether two option sets are field-for-field equal.
+func sameOptions(a, b Options) bool {
+	return a.MaxCohorts == b.MaxCohorts && a.Threshold == b.Threshold &&
+		a.TopDims == b.TopDims && slices.Equal(a.RankLabels, b.RankLabels)
+}
+
+// samePoints reports whether two fingerprint matrices are bit-identical.
+func samePoints(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for p := range a {
+		if len(a[p]) != len(b[p]) {
+			return false
+		}
+		for d := range a[p] {
+			if math.Float64bits(a[p][d]) != math.Float64bits(b[p][d]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // dimensions derives the fingerprint coordinate list from what the
@@ -259,8 +352,9 @@ func dimensions(ser *temporal.Series) []Dimension {
 // from the series windows in [first, last).
 func fingerprints(ser *temporal.Series, dims []Dimension, first, last int, ph temporal.Phase) [][]float64 {
 	points := make([][]float64, ser.Procs)
+	flat := make([]float64, ser.Procs*len(dims))
 	for p := range points {
-		points[p] = make([]float64, len(dims))
+		points[p] = flat[p*len(dims) : (p+1)*len(dims) : (p+1)*len(dims)]
 	}
 	dur := ph.End - ph.Start
 	if dur <= 0 || first >= last {
@@ -293,9 +387,9 @@ func fingerprints(ser *temporal.Series, dims []Dimension, first, last int, ph te
 	return points
 }
 
-// diagnosePhase clusters one phase's fingerprints into pd and appends
-// the phase's findings to rep.
-func diagnosePhase(rep *Report, pd *PhaseDiagnosis, points [][]float64, opts Options) {
+// diagnosePhase clusters one phase's fingerprints into pd and returns the
+// phase's findings.
+func diagnosePhase(dims []Dimension, pd *PhaseDiagnosis, points [][]float64, opts Options) []Finding {
 	// An all-idle phase has no behavior to compare: one empty-handed
 	// cohort of everyone, no findings.
 	allZero := true
@@ -308,8 +402,8 @@ func diagnosePhase(rep *Report, pd *PhaseDiagnosis, points [][]float64, opts Opt
 		}
 	}
 	if allZero {
-		pd.Cohorts = []Cohort{{Ranks: rankList(len(points)), Centroid: make([]float64, len(rep.Dimensions))}}
-		return
+		pd.Cohorts = []Cohort{{Ranks: rankList(len(points)), Centroid: make([]float64, len(dims))}}
+		return nil
 	}
 	maxK := opts.maxCohorts()
 	if maxK > len(points) {
@@ -317,16 +411,16 @@ func diagnosePhase(rep *Report, pd *PhaseDiagnosis, points [][]float64, opts Opt
 	}
 	res, k, err := cluster.BestK(points, maxK, cluster.Options{})
 	if err != nil {
-		return // unreachable for validated non-empty points; degrade to no cohorts
+		return nil // unreachable for validated non-empty points; degrade to no cohorts
 	}
 	dists, err := cluster.Distances(points, res.Centroids, res.Assign)
 	if err != nil {
-		return
+		return nil
 	}
 	groups := res.Groups()
 	spreads, err := cluster.SpreadByCluster(dists, res.Assign, k)
 	if err != nil {
-		return
+		return nil
 	}
 	// Pooled scatter over ranks in real (multi-member) cohorts, floored
 	// so perfectly tight cohorts still divide cleanly: the floor is tiny
@@ -372,6 +466,7 @@ func diagnosePhase(rep *Report, pd *PhaseDiagnosis, points [][]float64, opts Opt
 			pd.Silhouette = s
 		}
 	}
+	var findings []Finding
 	for p := range points {
 		own := res.Assign[p]
 		ref := own
@@ -407,10 +502,11 @@ func diagnosePhase(rep *Report, pd *PhaseDiagnosis, points [][]float64, opts Opt
 		if p < len(opts.RankLabels) {
 			f.RankLabel = opts.RankLabels[p]
 		}
-		f.Dominant = attribute(points[p], res.Centroids[ref], rep.Dimensions, opts.topDims())
+		f.Dominant = attribute(points[p], res.Centroids[ref], dims, opts.topDims())
 		f.Summary = summarize(f)
-		rep.Findings = append(rep.Findings, f)
+		findings = append(findings, f)
 	}
+	return findings
 }
 
 // scaleFloor is the deterministic lower bound on a phase's score scale:

@@ -199,3 +199,71 @@ func TestDiagnoseAggregateFallback(t *testing.T) {
 		t.Fatalf("findings = %+v, want rank 6 on top", rep.Findings)
 	}
 }
+
+// TestMemoReusesOnlyUnchangedPhases: a Memo returns exactly Diagnose's
+// report on every call, reusing a phase's cohorts only while its whole
+// input — phase, ordinal, dimensions, options and fingerprints — is
+// unchanged. The second series moves time between activities on one rank
+// of the last window without changing its busy total, so the trajectory
+// and the phases stay identical and only the fingerprints tell the
+// difference.
+func TestMemoReusesOnlyUnchangedPhases(t *testing.T) {
+	ser, phases := stragglerSeries(t, 16, 5, 0.25)
+	if len(phases) < 2 {
+		t.Fatalf("%d phases, want at least 2", len(phases))
+	}
+	var m Memo
+	check := func(what string, ser *temporal.Series, phases []temporal.Phase, opts Options) *Report {
+		t.Helper()
+		got := m.Diagnose(ser, phases, opts)
+		if want := Diagnose(ser, phases, opts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: memo report differs from Diagnose:\ngot  %+v\nwant %+v", what, got, want)
+		}
+		return got
+	}
+	// reused reports whether phase i of b took a's cohorts.
+	reused := func(a, b *Report, i int) bool {
+		return len(a.Phases[i].Cohorts) > 0 && &a.Phases[i].Cohorts[0] == &b.Phases[i].Cohorts[0]
+	}
+	last := len(phases) - 1
+
+	r1 := check("first call", ser, phases, Options{})
+	r2 := check("same input", ser, phases, Options{})
+	for i := range phases {
+		if !reused(r1, r2, i) {
+			t.Errorf("phase %d re-clustered on an unchanged input", i+1)
+		}
+	}
+
+	ser2 := *ser
+	ser2.Windows = append([]temporal.WindowVector(nil), ser.Windows...)
+	w := &ser2.Windows[len(ser2.Windows)-1]
+	w.PerActivity = map[string][]float64{
+		"computation": append([]float64(nil), w.PerActivity["computation"]...),
+		"p2p":         append([]float64(nil), w.PerActivity["p2p"]...),
+	}
+	w.PerActivity["computation"][9] -= 0.3
+	w.PerActivity["p2p"][9] += 0.3
+	if !reflect.DeepEqual(temporal.Segment(ser2.Stats(), 0), phases) {
+		t.Fatal("moving time between activities changed the segmentation")
+	}
+	r3 := check("changed fingerprints", &ser2, phases, Options{})
+	if !reused(r2, r3, 0) {
+		t.Error("an unchanged phase was re-clustered")
+	}
+	if reused(r2, r3, last) {
+		t.Error("the phase whose fingerprints changed was reused")
+	}
+
+	labels := make([]string, 16)
+	for i := range labels {
+		labels[i] = "job/" + string(rune('a'+i))
+	}
+	r4 := check("new options", &ser2, phases, Options{RankLabels: labels})
+	if reused(r3, r4, 0) {
+		t.Error("a phase was reused across different options")
+	}
+	labels[5] = "renamed"
+	check("labels mutated by the caller", &ser2, phases, Options{RankLabels: labels})
+	check("shifted ordinals", &ser2, phases[1:], Options{RankLabels: labels})
+}

@@ -2,6 +2,7 @@ package diagnose
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"loadimb/internal/temporal"
@@ -12,7 +13,7 @@ import (
 // and asserts the report invariants: no panic, every score finite and
 // nonnegative, ranks and phase ordinals in range, findings sorted by
 // descending score, and cohorts partitioning the rank set of every
-// diagnosed phase.
+// diagnosed phase — and that a Memo reports exactly what Diagnose does.
 func FuzzDiagnose(f *testing.F) {
 	f.Add(uint8(4), uint8(8), uint16(0), false, false)      // all-zero fingerprints
 	f.Add(uint8(1), uint8(6), uint16(0xBEEF), true, true)   // single rank
@@ -54,6 +55,25 @@ func FuzzDiagnose(f *testing.F) {
 		rep := Diagnose(ser, phases, Options{})
 		if rep == nil {
 			t.Fatal("nil report")
+		}
+		// A Memo answers exactly what Diagnose answers: on a repeated
+		// input, and after the last window's first rank changed.
+		var m Memo
+		for i := 0; i < 2; i++ {
+			if got := m.Diagnose(ser, phases, Options{}); !reflect.DeepEqual(got, rep) {
+				t.Fatalf("memo call %d differs from Diagnose", i+1)
+			}
+		}
+		if wins > 0 {
+			ser2 := *ser
+			ser2.Windows = append([]temporal.WindowVector(nil), ser.Windows...)
+			w := &ser2.Windows[wins-1]
+			w.ProcSeconds = append([]float64(nil), w.ProcSeconds...)
+			w.ProcSeconds[0] += next() * ser.Window
+			phases2 := temporal.Segment(ser2.Stats(), 0)
+			if got, want := m.Diagnose(&ser2, phases2, Options{}), Diagnose(&ser2, phases2, Options{}); !reflect.DeepEqual(got, want) {
+				t.Fatal("memo differs from Diagnose after a window changed")
+			}
 		}
 		if len(rep.Phases) > len(phases) {
 			t.Fatalf("%d diagnosed phases for %d segmented", len(rep.Phases), len(phases))

@@ -221,3 +221,61 @@ func BenchmarkSnapshot(b *testing.B) {
 		c.Snapshot()
 	}
 }
+
+// BenchmarkSnapshotRebuild measures what one new snapshot generation
+// costs on a full-ring collector: 128 ranks, two cells
+// (solve/computation 0.7, exchange/communication 0.3 of each rank's
+// work), one-second windows, 6,144 preloaded windows (the full ring plus
+// half a coarse tail), and a straggling rank that alternates between two
+// ranks every 64 windows, so the trajectory segments into about 64
+// phases. One op appends one window, then builds the snapshot and its
+// diagnosis — the work a scrape after each write pays.
+func BenchmarkSnapshotRebuild(b *testing.B) {
+	const (
+		ranks     = 128
+		preload   = 6144
+		phaseLen  = 64
+		straggle  = 3.0
+		workScale = 0.25
+	)
+	var work [2][]float64
+	for k, straggler := range []int{17, 90} {
+		work[k] = make([]float64, ranks)
+		for p := range work[k] {
+			work[k][p] = workScale * (1 + 0.02*float64((p*7)%11-5))
+		}
+		work[k][straggler] *= straggle
+	}
+	c := NewCollector(Options{
+		Window:     1,
+		Regions:    []string{"solve", "exchange"},
+		Activities: []string{"computation", "communication"},
+	})
+	batch := make([]trace.Event, 0, 2*ranks)
+	appendWindow := func(w int) {
+		batch = batch[:0]
+		t0 := float64(w)
+		for p, wk := range work[(w/phaseLen)%2] {
+			mid := t0 + 0.7*wk
+			batch = append(batch,
+				trace.Event{Rank: p, Region: "solve", Activity: "computation", Start: t0, End: mid},
+				trace.Event{Rank: p, Region: "exchange", Activity: "communication", Start: mid, End: t0 + wk})
+		}
+		c.RecordBatch(batch)
+	}
+	for w := 0; w < preload; w++ {
+		appendWindow(w)
+		if w%512 == 511 {
+			c.Fold()
+		}
+	}
+	c.Snapshot().Diagnosis()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		appendWindow(preload + i)
+		if c.Snapshot().Diagnosis() == nil {
+			b.Fatal("no diagnosis")
+		}
+	}
+}

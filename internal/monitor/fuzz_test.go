@@ -12,7 +12,9 @@ import (
 // stream, recorded from two goroutines while a third interleaves
 // snapshots. Run under -race it guards the lock-free snapshot path: the
 // invariant is that after a final quiescent Snapshot the cube accounts
-// for every valid event exactly once, whatever the interleaving.
+// for every valid event exactly once, whatever the interleaving. Every
+// snapshot's cached trajectories, phase summaries and memoized diagnosis
+// must also equal their stateless recomputation (checkSnapshotOracles).
 //
 // The high bits of the rank byte select a boundary shape, so the fuzzer
 // exercises the window-clipping edge cases deliberately: events snapped
@@ -89,12 +91,14 @@ func FuzzRecordSnapshot(f *testing.F) {
 					if snap.Dropped != 0 {
 						t.Error("valid events were dropped")
 					}
+					checkSnapshotOracles(t, snap)
 				}
 			}
 		}()
 		wg.Wait()
 		<-snapDone
 		snap := c.Snapshot()
+		checkSnapshotOracles(t, snap)
 		if snap.Events != wantEvents {
 			t.Fatalf("events = %d, want %d", snap.Events, wantEvents)
 		}

@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"loadimb/internal/diagnose"
 	"loadimb/internal/stats"
 	"loadimb/internal/temporal"
 	"loadimb/internal/trace"
@@ -117,6 +118,9 @@ type Collector struct {
 	// fold actually changed the state, so an unchanged collector keeps
 	// re-serving the same immutable snapshot (and its memoized views).
 	gen uint64
+	// memo carries the diagnosis of unchanged phases from one snapshot
+	// generation to the next.
+	memo diagnose.Memo
 
 	snap atomic.Pointer[Snapshot]
 }
@@ -266,6 +270,7 @@ func (c *Collector) Snapshot() *Snapshot {
 	c.gen++
 	snap := c.state.build(c.state.folded, dropped, c.gen)
 	snap.Boot = c.boot
+	snap.memo = &c.memo
 	c.snap.Store(snap)
 	return snap
 }

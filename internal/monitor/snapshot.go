@@ -79,9 +79,13 @@ type Snapshot struct {
 	// diag memoizes the snapshot's diagnosis the same way: the collector
 	// re-serves the identical Snapshot pointer while its Gen is unchanged,
 	// so the diagnosis is recomputed only when the fold content actually
-	// moved — the amortization the live endpoints rely on.
+	// moved — the amortization the live endpoints rely on. memo is the
+	// publishing collector's per-phase memo, which makes that recomputation
+	// re-cluster only the phases whose input changed; nil (a stateless
+	// diagnosis) for snapshots built elsewhere.
 	diagOnce sync.Once
 	diag     *diagnose.Report
+	memo     *diagnose.Memo
 }
 
 // Views holds the paper's dispersion views of one snapshot cube — exactly
@@ -153,7 +157,7 @@ func (s *Snapshot) Diagnosis() *diagnose.Report {
 		for i, ps := range s.Phases {
 			phases[i] = ps.Phase()
 		}
-		s.diag = diagnose.Diagnose(s.Series, phases, diagnose.Options{RankLabels: s.RankLabels})
+		s.diag = s.memo.Diagnose(s.Series, phases, diagnose.Options{RankLabels: s.RankLabels})
 	})
 	return s.diag
 }
@@ -200,9 +204,10 @@ func (s *foldState) build(events, dropped, gen uint64) *Snapshot {
 		}
 	}
 	if s.tw != nil {
-		snap.Series = s.tw.Series()
-		snap.Windows = snap.Series.Stats()
-		snap.Coarse = snap.Series.CoarseStats()
+		// The trajectories come from the fold's per-window summary cache:
+		// only the windows that changed since the last build are
+		// summarized again.
+		snap.Series, snap.Windows, snap.Coarse = s.tw.Trajectory()
 		if s.seg != nil {
 			// Sync rewinds the incremental segmenter only past the windows
 			// that actually changed since the last snapshot (usually just

@@ -89,3 +89,21 @@ func TestWindowsGolden(t *testing.T) {
 	}
 	checkGolden(t, filepath.Join("testdata", "windows_live.golden.json"), []byte(body))
 }
+
+// TestPhasesGolden locks the live /phases.json document: the per-phase
+// dispersion indices and hot activities are computed straight from the
+// window vectors, and any change to that summary's arithmetic or order
+// shows up in the golden bytes.
+func TestPhasesGolden(t *testing.T) {
+	c := goldenWorkload(t)
+	srv := httptest.NewServer(NewHandler(c))
+	defer srv.Close()
+	code, body, ctype := get(t, srv.URL+"/phases.json")
+	if code != http.StatusOK {
+		t.Fatalf("/phases.json = %d", code)
+	}
+	if ctype != "application/json" {
+		t.Fatalf("content type %q", ctype)
+	}
+	checkGolden(t, filepath.Join("testdata", "phases_live.golden.json"), []byte(body))
+}

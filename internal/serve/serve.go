@@ -7,12 +7,14 @@
 package serve
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/pprof"
 	"strings"
+	"sync"
 
 	"loadimb/internal/majorize"
 	"loadimb/internal/monitor"
@@ -69,18 +71,34 @@ func acceptsGzip(r *http.Request) bool {
 	return false
 }
 
-// jsonBody negotiates the response encoding for a JSON endpoint and
-// returns the writer the document should go to plus a flush func. The
+// jsonHeaders negotiates the response encoding for a JSON endpoint, sets
+// the headers and reports whether the body must be gzip-encoded. The
 // Vary header is always set: caches must key on Accept-Encoding.
-func jsonBody(w http.ResponseWriter, r *http.Request) (io.Writer, func()) {
+func jsonHeaders(w http.ResponseWriter, r *http.Request) bool {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Vary", "Accept-Encoding")
 	if !acceptsGzip(r) {
-		return w, func() {}
+		return false
 	}
 	w.Header().Set("Content-Encoding", "gzip")
+	return true
+}
+
+// jsonBody negotiates the response encoding for a JSON endpoint and
+// returns the writer the document should go to plus a flush func.
+func jsonBody(w http.ResponseWriter, r *http.Request) (io.Writer, func()) {
+	if !jsonHeaders(w, r) {
+		return w, func() {}
+	}
 	gz := gzip.NewWriter(w)
 	return gz, func() { _ = gz.Close() }
+}
+
+// encodeJSON writes v to w as the indented JSON every endpoint serves.
+func encodeJSON(w io.Writer, v any) {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(v)
 }
 
 // writeJSON writes v as indented JSON, gzip-encoded when the client asked
@@ -88,9 +106,44 @@ func jsonBody(w http.ResponseWriter, r *http.Request) (io.Writer, func()) {
 func writeJSON(w http.ResponseWriter, r *http.Request, v any) {
 	body, done := jsonBody(w, r)
 	defer done()
-	enc := json.NewEncoder(body)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	encodeJSON(body, v)
+}
+
+// docCache is one JSON endpoint's encoding of the last snapshot it
+// served: the identity body, and the gzip body once a client asked for
+// it. A snapshot is immutable and a new generation is a new snapshot, so
+// the document costs one encoding per generation however many clients
+// poll it, instead of one per request.
+type docCache struct {
+	mu   sync.Mutex
+	snap *monitor.Snapshot
+	body []byte
+	gz   []byte
+}
+
+// write serves doc() for snap exactly as writeJSON would, from the cache
+// when snap is the snapshot it last encoded.
+func (c *docCache) write(w http.ResponseWriter, r *http.Request, snap *monitor.Snapshot, doc func() any) {
+	gzipped := jsonHeaders(w, r)
+	c.mu.Lock()
+	if c.snap != snap {
+		var buf bytes.Buffer
+		encodeJSON(&buf, doc())
+		c.snap, c.body, c.gz = snap, buf.Bytes(), nil
+	}
+	body := c.body
+	if gzipped {
+		if c.gz == nil {
+			var buf bytes.Buffer
+			zw := gzip.NewWriter(&buf)
+			_, _ = zw.Write(c.body)
+			_ = zw.Close()
+			c.gz = buf.Bytes()
+		}
+		body = c.gz
+	}
+	c.mu.Unlock()
+	_, _ = w.Write(body)
 }
 
 // metricsHandler serves the Prometheus text exposition of the source's
@@ -166,24 +219,28 @@ func LorenzHandler(src Source) http.HandlerFunc {
 // scrape time — the federation merger inherits it from its endpoints —
 // passes 0 and the snapshot's own series width is echoed instead.
 func TimelineHandler(src Source, window float64) http.HandlerFunc {
+	var cache docCache
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap := src.Snapshot()
-		if window == 0 && snap.Series != nil {
-			window = snap.Series.Window
+		width := window
+		if width == 0 && snap.Series != nil {
+			width = snap.Series.Window
 		}
 		if serveCached(w, r, snap) {
 			return
 		}
-		p := timelinePayload{
-			Window:  window,
-			Windows: snap.Windows,
-		}
-		if snap.Series != nil && snap.Series.CoarseWindow > 0 {
-			p.CoarseWindow = snap.Series.CoarseWindow
-			p.RingStart = snap.Series.RingStart
-			p.Coarse = snap.Coarse
-		}
-		writeJSON(w, r, p)
+		cache.write(w, r, snap, func() any {
+			p := timelinePayload{
+				Window:  width,
+				Windows: snap.Windows,
+			}
+			if snap.Series != nil && snap.Series.CoarseWindow > 0 {
+				p.CoarseWindow = snap.Series.CoarseWindow
+				p.RingStart = snap.Series.RingStart
+				p.Coarse = snap.Coarse
+			}
+			return p
+		})
 	}
 }
 
@@ -216,6 +273,7 @@ func WindowsHandler(src Source) http.HandlerFunc {
 // 503 while windowing is disabled and an empty phase list before the
 // first non-empty window.
 func PhasesHandler(src Source) http.HandlerFunc {
+	var cache docCache
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap := src.Snapshot()
 		if snap.Series == nil {
@@ -225,15 +283,17 @@ func PhasesHandler(src Source) http.HandlerFunc {
 		if serveCached(w, r, snap) {
 			return
 		}
-		p := phasesPayload{
-			Window: snap.Series.Window,
-			Phases: snap.Phases,
-		}
-		if n := len(snap.Phases); n > 0 {
-			p.Current = &snap.Phases[n-1]
-			p.Changes = n - 1
-		}
-		writeJSON(w, r, p)
+		cache.write(w, r, snap, func() any {
+			p := phasesPayload{
+				Window: snap.Series.Window,
+				Phases: snap.Phases,
+			}
+			if n := len(snap.Phases); n > 0 {
+				p.Current = &snap.Phases[n-1]
+				p.Changes = n - 1
+			}
+			return p
+		})
 	}
 }
 
@@ -241,10 +301,11 @@ func PhasesHandler(src Source) http.HandlerFunc {
 // snapshot: per-phase rank-similarity cohorts and divergence findings
 // ("rank 17 diverged from its 63-rank cohort in phase 3 ..."), the
 // programmatic root-cause layer over the phase segmentation. The report
-// is memoized per fold generation, so scraping it is as cheap as the
-// other endpoints while the run is quiet. It answers 503 while
-// windowing is disabled.
+// and its encoding are memoized per fold generation, so scraping it is as
+// cheap as the other endpoints while the run is quiet. It answers 503
+// while windowing is disabled.
 func DiagnoseHandler(src Source) http.HandlerFunc {
+	var cache docCache
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap := src.Snapshot()
 		if snap.Series == nil {
@@ -254,7 +315,7 @@ func DiagnoseHandler(src Source) http.HandlerFunc {
 		if serveCached(w, r, snap) {
 			return
 		}
-		writeJSON(w, r, snap.Diagnosis())
+		cache.write(w, r, snap, func() any { return snap.Diagnosis() })
 	}
 }
 

@@ -112,7 +112,8 @@ type Fold struct {
 // so an unchanged window costs a header copy per snapshot instead of a
 // vector copy — the copy-on-write that makes scrape cost proportional to
 // the windows that changed since the last snapshot, not to the retained
-// count.
+// count. stat caches built's summary the same way (valid while hasStat):
+// every rebuild drops it, so it is invalidated exactly where built is.
 type windowAcc struct {
 	procSeconds []float64
 	events      int
@@ -122,6 +123,8 @@ type windowAcc struct {
 
 	built      *WindowVector
 	builtProcs int
+	stat       WindowStat
+	hasStat    bool
 }
 
 // NewFold creates a fold. It panics on a non-positive window width —
@@ -406,22 +409,39 @@ func floorDiv(a, b int) int {
 // With a WindowCap set, Windows is the full-resolution ring and the
 // decimated prefix is published through the series' Coarse fields.
 func (f *Fold) Series() *Series {
-	s := &Series{Window: f.window, Procs: f.procs}
-	s.Windows = f.buildList(f.windows)
-	if f.sealed {
-		s.CoarseWindow = f.window * float64(f.factor)
-		s.RingStart = f.ringStart
-		s.Coarse = f.buildList(f.coarse)
-	}
+	s, _, _ := f.series(false)
 	return s
 }
 
-// buildList renders one accumulator map as sorted immutable vectors,
+// Trajectory returns what Series returns together with the series' ring
+// and coarse trajectories — exactly its Stats and CoarseStats — from the
+// per-window summaries cached next to the built vectors: like the
+// vectors, only the windows that changed since the last call are
+// summarized again.
+func (f *Fold) Trajectory() (ser *Series, ring, coarse []WindowStat) {
+	return f.series(true)
+}
+
+// series builds the series and, when summarize is set, its trajectories.
+func (f *Fold) series(summarize bool) (*Series, []WindowStat, []WindowStat) {
+	s := &Series{Window: f.window, Procs: f.procs}
+	var ring, coarse []WindowStat
+	s.Windows, ring = f.buildList(f.windows, f.window, summarize)
+	if f.sealed {
+		s.CoarseWindow = f.window * float64(f.factor)
+		s.RingStart = f.ringStart
+		s.Coarse, coarse = f.buildList(f.coarse, s.CoarseWindow, summarize)
+	}
+	return s, ring, coarse
+}
+
+// buildList renders one accumulator map as sorted immutable vectors —
+// and, when summarize is set, their summaries at the given width —
 // reusing each accumulator's cached build when neither it nor the
 // processor count changed.
-func (f *Fold) buildList(accs map[int]*windowAcc) []WindowVector {
+func (f *Fold) buildList(accs map[int]*windowAcc, width float64, summarize bool) ([]WindowVector, []WindowStat) {
 	if len(accs) == 0 {
-		return nil
+		return nil, nil
 	}
 	idxs := make([]int, 0, len(accs))
 	for w := range accs {
@@ -429,10 +449,21 @@ func (f *Fold) buildList(accs map[int]*windowAcc) []WindowVector {
 	}
 	sort.Ints(idxs)
 	out := make([]WindowVector, 0, len(idxs))
-	for _, w := range idxs {
-		out = append(out, *accs[w].build(w, f.procs))
+	var sts []WindowStat
+	if summarize {
+		sts = make([]WindowStat, 0, len(idxs))
 	}
-	return out
+	for _, w := range idxs {
+		acc := accs[w]
+		out = append(out, *acc.build(w, f.procs))
+		if summarize {
+			if !acc.hasStat {
+				acc.stat, acc.hasStat = statOf(acc.built, width), true
+			}
+			sts = append(sts, acc.stat)
+		}
+	}
+	return out, sts
 }
 
 // build returns the accumulator's immutable vector at the given index,
@@ -471,7 +502,7 @@ func (a *windowAcc) build(index, procs int) *WindowVector {
 			v.PerRegion[r] = padded
 		}
 	}
-	a.built, a.builtProcs = v, procs
+	a.built, a.builtProcs, a.hasStat = v, procs, false
 	return v
 }
 

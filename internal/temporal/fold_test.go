@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"loadimb/internal/stats"
@@ -239,7 +240,65 @@ func FuzzFoldOracle(f *testing.F) {
 			})
 		}
 		checkAgainstOracle(t, events, window)
+		// The same stream through a capped fold, whose compactions and
+		// coarse re-decimations move accumulators between windows: the
+		// cached trajectories must track every step.
+		capped := NewFold(Options{Window: window, WindowCap: 16, PerActivity: true, TrackActivities: true})
+		for _, e := range events {
+			capped.Add(e)
+			checkTrajectoryCache(t, capped)
+		}
 	})
+}
+
+// checkTrajectoryCache fails if the fold's cached trajectories differ
+// from the ones its series computes afresh.
+func checkTrajectoryCache(t *testing.T, f *Fold) {
+	t.Helper()
+	ser, ring, coarse := f.Trajectory()
+	if !reflect.DeepEqual(ser, f.Series()) {
+		t.Fatal("Trajectory's series differs from Series")
+	}
+	if want := ser.Stats(); !reflect.DeepEqual(ring, want) {
+		t.Fatalf("cached ring trajectory differs from Series().Stats():\ngot  %+v\nwant %+v", ring, want)
+	}
+	if want := ser.CoarseStats(); !reflect.DeepEqual(coarse, want) {
+		t.Fatalf("cached coarse trajectory differs from Series().CoarseStats():\ngot  %+v\nwant %+v", coarse, want)
+	}
+}
+
+// TestFoldTrajectoryCache checks the cached trajectories after every step
+// of a stream that exercises each invalidation: windows still growing,
+// late events into old ring windows and into sealed (coarse) ones, a new
+// rank mid-run that re-pads every window, and a cap small enough that
+// compaction and coarse re-decimation happen many times.
+func TestFoldTrajectoryCache(t *testing.T) {
+	f := NewFold(Options{Window: 1, WindowCap: 16, PerActivity: true, PerRegion: true, TrackActivities: true})
+	ranks := 4
+	for w := 0; w < 300; w++ {
+		if w == 150 {
+			ranks = 6
+		}
+		for r := 0; r < ranks; r++ {
+			t0 := float64(w) + 0.05*float64(r)
+			f.Add(trace.Event{Rank: r, Region: "solve", Activity: "compute", Start: t0, End: t0 + 0.3 + 0.1*float64((w+r)%3)})
+			f.Add(trace.Event{Rank: r, Region: "halo", Activity: "wait", Start: t0 + 0.5, End: t0 + 0.5 + 0.05*float64(w%4)})
+		}
+		checkTrajectoryCache(t, f)
+		if w%7 == 6 {
+			f.Add(trace.Event{Rank: 1, Region: "solve", Activity: "wait", Start: float64(w) - 4.5, End: float64(w) - 4.2})
+			checkTrajectoryCache(t, f)
+		}
+		if w%11 == 10 {
+			f.Add(trace.Event{Rank: 2, Region: "halo", Activity: "compute", Start: float64(w/3) + 0.1, End: float64(w/3) + 0.9})
+			f.Add(trace.Event{Rank: 0, Region: "solve", Activity: "compute", Start: float64(w/5) + 0.5, End: float64(w/5) + 0.5})
+			checkTrajectoryCache(t, f)
+		}
+	}
+	ser := f.Series()
+	if ser.CoarseWindow <= 2*ser.Window {
+		t.Fatalf("coarse width %g: the stream never re-decimated the coarse tail", ser.CoarseWindow)
+	}
 }
 
 func TestFoldActivityFilter(t *testing.T) {

@@ -129,24 +129,30 @@ func statsOf(windows []WindowVector, width float64) []WindowStat {
 		return nil
 	}
 	out := make([]WindowStat, 0, len(windows))
-	for _, v := range windows {
-		ws := WindowStat{
-			Index:    v.Index,
-			Start:    float64(v.Index) * width,
-			End:      float64(v.Index+1) * width,
-			Events:   v.Events,
-			Dominant: v.Dominant,
-		}
-		ws.Busy = stats.Sum(v.ProcSeconds)
-		// Ranks idle for the whole window count as zeros: an idle
-		// processor is the imbalance, not missing data.
-		if id, err := stats.EuclideanFromBalance(v.ProcSeconds); err == nil {
-			ws.ID = &id
-		}
-		ws.Gini = GiniOf(v.ProcSeconds)
-		out = append(out, ws)
+	for i := range windows {
+		out = append(out, statOf(&windows[i], width))
 	}
 	return out
+}
+
+// statOf summarizes one window at the given width: the one per-window
+// summary, which the Fold also caches per accumulator (Fold.Trajectory).
+func statOf(v *WindowVector, width float64) WindowStat {
+	ws := WindowStat{
+		Index:    v.Index,
+		Start:    float64(v.Index) * width,
+		End:      float64(v.Index+1) * width,
+		Events:   v.Events,
+		Dominant: v.Dominant,
+	}
+	ws.Busy = stats.Sum(v.ProcSeconds)
+	// Ranks idle for the whole window count as zeros: an idle
+	// processor is the imbalance, not missing data.
+	if id, err := stats.EuclideanFromBalance(v.ProcSeconds); err == nil {
+		ws.ID = &id
+	}
+	ws.Gini = GiniOf(v.ProcSeconds)
+	return ws
 }
 
 // ActivityNames returns the sorted names of every activity any window

@@ -63,23 +63,22 @@ func SummarizePhases(ser *Series, phases []Phase) []PhaseSummary {
 	if ser == nil || len(phases) == 0 {
 		return nil
 	}
-	// Per-activity window trajectories and their defined-window means,
-	// shared across phases.
+	// Per-activity window IDs and their defined-window means, shared
+	// across phases.
 	actNames := ser.ActivityNames()
-	actStats := make(map[string][]WindowStat, len(actNames))
-	actMean := make(map[string]float64, len(actNames))
-	for _, a := range actNames {
-		st := ser.ActivitySeries(a).Stats()
-		actStats[a] = st
+	actIDs := make([][]windowID, len(actNames))
+	actMean := make([]float64, len(actNames))
+	for k, a := range actNames {
+		actIDs[k] = activityIDs(ser, a)
 		sum, defined := 0.0, 0
-		for _, w := range st {
-			if w.ID != nil {
-				sum += *w.ID
+		for _, id := range actIDs[k] {
+			if id.ok {
+				sum += id.v
 				defined++
 			}
 		}
 		if defined > 0 {
-			actMean[a] = sum / float64(defined)
+			actMean[k] = sum / float64(defined)
 		}
 	}
 	out := make([]PhaseSummary, 0, len(phases))
@@ -113,12 +112,11 @@ func SummarizePhases(ser *Series, phases []Phase) []PhaseSummary {
 			sum.ID = &id
 		}
 		sum.Gini = GiniOf(busy)
-		for _, a := range actNames {
-			st := actStats[a]
+		for k, a := range actNames {
 			mean, defined := 0.0, 0
-			for i := first; i < pos && i < len(st); i++ {
-				if st[i].ID != nil {
-					mean += *st[i].ID
+			for _, id := range actIDs[k][first:pos] {
+				if id.ok {
+					mean += id.v
 					defined++
 				}
 			}
@@ -126,7 +124,7 @@ func SummarizePhases(ser *Series, phases []Phase) []PhaseSummary {
 				continue
 			}
 			mean /= float64(defined)
-			if mean >= actMean[a] && mean > 0 {
+			if mean >= actMean[k] && mean > 0 {
 				sum.HotActivities = append(sum.HotActivities, a)
 			}
 		}
@@ -134,4 +132,38 @@ func SummarizePhases(ser *Series, phases []Phase) []PhaseSummary {
 		out = append(out, sum)
 	}
 	return out
+}
+
+// windowID is one window's dispersion index; ok is false where it is
+// undefined (the window recorded no busy time for the dimension).
+type windowID struct {
+	v  float64
+	ok bool
+}
+
+// activityIDs returns, per window of ser, the ID ActivitySeries(a).Stats()
+// reports for it, without copying the projection: the activity's vector
+// zero-padded to the processor count in one reused buffer (the index's
+// mean divides by every processor, idle ones included), and undefined
+// where the activity sat the window out.
+func activityIDs(ser *Series, a string) []windowID {
+	ids := make([]windowID, len(ser.Windows))
+	var pad []float64
+	for i := range ser.Windows {
+		vec, ok := ser.Windows[i].PerActivity[a]
+		if !ok {
+			continue
+		}
+		if len(vec) < ser.Procs {
+			pad = append(pad[:0], vec...)
+			for len(pad) < ser.Procs {
+				pad = append(pad, 0)
+			}
+			vec = pad
+		}
+		if id, err := stats.EuclideanFromBalance(vec); err == nil {
+			ids[i] = windowID{v: id, ok: true}
+		}
+	}
+	return ids
 }

@@ -10,7 +10,8 @@
 # on the fixed-penalty path. BenchmarkDiagnose tracks the automatic
 # diagnosis (fingerprint -> cluster -> score, 256 ranks x 8 phases); one
 # report must stay well under a scrape interval, since the monitor
-# recomputes it once per fold generation. BenchmarkBoundedScrapeLongRun
+# re-clusters every phase whose input changed once per fold generation,
+# and all of them after a compaction. BenchmarkBoundedScrapeLongRun
 # tracks the bounded-retention guarantee: the per-scrape cost after 1M
 # accumulated windows must stay within 2x of the cost after 10k — scrape
 # time independent of run length (see ISSUE 7).
