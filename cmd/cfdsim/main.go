@@ -4,12 +4,12 @@
 //
 // Usage:
 //
-//	cfdsim -out run.limb                       # paper-like defaults
+//	cfdsim -out run.lifp                       # paper-like defaults
 //	cfdsim -procs 32 -imbalance 0.5 -out run.json
-//	cfdsim -events run.jsonl -out run.limb -summary
+//	cfdsim -events run.liwp -out run.lifp -summary
 //	cfdsim -serve 127.0.0.1:9190 -linger 1m    # live /metrics during the run
 //	cfdsim -emit unix:/tmp/loadimb.sock        # stream events to imbamon -ingest
-//	cfdsim -slow-rank 5 -slow-factor 3 -events run.jsonl   # inject a straggler
+//	cfdsim -slow-rank 5 -slow-factor 3 -events run.liwp   # inject a straggler
 //	                                           # (imba -diagnose names it)
 //	cfdsim -slow-rank 5 -slow-factor 3 -rebalance reactive # close the loop:
 //	                                           # migrate rows until ID_P <= target
@@ -47,9 +47,9 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("cfdsim", flag.ContinueOnError)
 	var (
-		out       = fs.String("out", "", "output cube file (.limb binary, .json or .csv)")
-		events    = fs.String("events", "", "also write the raw event trace (JSON Lines)")
-		bytesOut  = fs.String("bytes", "", "also write the byte-counter cube (.limb, .json or .csv)")
+		out       = fs.String("out", "", "output cube file (.lifp binary, .json or .csv)")
+		events    = fs.String("events", "", "also write the raw event trace (.liwp event stream)")
+		bytesOut  = fs.String("bytes", "", "also write the byte-counter cube (.lifp, .json or .csv)")
 		procs     = fs.Int("procs", 16, "number of simulated processors")
 		gridX     = fs.Int("gridx", 512, "grid width")
 		gridY     = fs.Int("gridy", 512, "grid height (distributed across processors)")

@@ -5,9 +5,9 @@
 // Usage:
 //
 //	imba -paper -table all           # analyze the embedded case study
-//	imba -in run.limb -summary       # analyze a binary tracefile
+//	imba -in run.lifp -summary       # analyze a binary tracefile
 //	imba -in run.json -table 4 -index mad
-//	imba -in run.limb -csv > out.csv
+//	imba -in run.lifp -csv > out.csv
 //
 // Given an event trace instead of a cube, it can also analyze the run's
 // temporal structure: -window prints the windowed imbalance trajectory
@@ -15,9 +15,9 @@
 // -phases segments the trajectory into phases via penalized change-point
 // detection and runs the full index set on each phase:
 //
-//	imba -events run.events -window 0.5
-//	imba -events run.events -window 0.5 -activity computation -phases
-//	imba -events run.events -window 0.5 -per-activity
+//	imba -events run.liwp -window 0.5
+//	imba -events run.liwp -window 0.5 -activity computation -phases
+//	imba -events run.liwp -window 0.5 -per-activity
 //
 // -diagnose runs the automatic performance diagnosis on the trace: ranks
 // are fingerprinted per detected phase, clustered into cohorts, and the
@@ -25,8 +25,8 @@
 // to — the same report a live imbamon serves at /diagnose.json. -json
 // prints the raw report document instead of text:
 //
-//	imba -events run.events -window 0.5 -diagnose
-//	imba -events run.events -window 0.5 -diagnose -json
+//	imba -events run.liwp -window 0.5 -diagnose
+//	imba -events run.liwp -window 0.5 -diagnose -json
 package main
 
 import (
@@ -60,7 +60,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("imba", flag.ContinueOnError)
 	var (
-		in        = fs.String("in", "", "input tracefile (.limb binary, .json or .csv)")
+		in        = fs.String("in", "", "input tracefile (.lifp binary, .json or .csv)")
 		usePaper  = fs.Bool("paper", false, "analyze the embedded paper case study instead of a file")
 		table     = fs.String("table", "", "print table 1, 2, 3, 4 or all")
 		summary   = fs.Bool("summary", false, "print the findings summary")
@@ -73,7 +73,7 @@ func run(args []string, stdout io.Writer) error {
 		criterion = fs.String("candidates", "", "rank tuning candidates: max, top<K>, p<Q>, zscore or threshold:<T>")
 		indexName = fs.String("index", "euclidean", "index of dispersion (euclidean, variance, stddev, cov, mad, max, range, gini)")
 		clusterK  = fs.Int("k", 2, "number of region clusters")
-		eventsIn  = fs.String("events", "", "input event trace (JSON lines, as written by cfdsim -events)")
+		eventsIn  = fs.String("events", "", "input event trace (.liwp event stream, as written by cfdsim -events)")
 		window    = fs.Float64("window", 0, "temporal window width in seconds (requires -events)")
 		windowCap = fs.Int("window-cap", 0, "max full-resolution windows retained; older ones decimate into a coarse tail (0 = unbounded, the offline default)")
 		phases    = fs.Bool("phases", false, "segment the trajectory into phases and analyze each (requires -window)")

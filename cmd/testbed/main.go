@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	testbed -dir traces add -name cfd-16 -in run.limb -system sp2 -program cfd -tags paper,mpi
+//	testbed -dir traces add -name cfd-16 -in run.lifp -system sp2 -program cfd -tags paper,mpi
 //	testbed -dir traces add -name paper -paper -system sp2 -program cfd
 //	testbed -dir traces list
 //	testbed -dir traces query -minprocs 16 -minsid 0.01
@@ -65,7 +65,7 @@ func main() {
 func cmdAdd(repo *testbed.Repository, args []string) error {
 	fs := flag.NewFlagSet("add", flag.ContinueOnError)
 	name := fs.String("name", "", "entry name")
-	in := fs.String("in", "", "cube file to add (.limb or .json)")
+	in := fs.String("in", "", "cube file to add (.lifp, .json or .csv)")
 	usePaper := fs.Bool("paper", false, "add the reconstructed paper cube")
 	system := fs.String("system", "", "system the trace was collected on")
 	program := fs.String("program", "", "traced program")
@@ -177,7 +177,7 @@ func cmdShow(repo *testbed.Repository, args []string) error {
 func cmdExport(repo *testbed.Repository, args []string) error {
 	fs := flag.NewFlagSet("export", flag.ContinueOnError)
 	name := fs.String("name", "", "entry name")
-	out := fs.String("out", "", "destination file (.limb or .json)")
+	out := fs.String("out", "", "destination file (.lifp, .json or .csv)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

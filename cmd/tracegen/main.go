@@ -4,19 +4,19 @@
 //
 // Usage:
 //
-//	tracegen -paper -out paper.limb
+//	tracegen -paper -out paper.lifp
 //	tracegen -regions 10 -activities 4 -procs 64 -profile linear -severity 0.5 -out synth.json
 //
 // With -emit, tracegen becomes a load generator for the remote ingest
 // path instead of writing a file: it streams an event trace to a
 // collector (imbamon -ingest) over the binary wire protocol and reports
 // the achieved event rate. The stream is either a recorded trace replayed
-// from -events (a JSON Lines file, e.g. from cfdsim -events), optionally
+// from -events (a .liwp event file, e.g. from cfdsim -events), optionally
 // repeated -loop times with timestamps shifted onto a continuous
 // timeline, or events synthesized from the generated cube by slicing
 // every cell's per-processor time into -emit-iters equal intervals.
 //
-//	tracegen -emit unix:/tmp/loadimb.sock -events run.jsonl -loop 100
+//	tracegen -emit unix:/tmp/loadimb.sock -events run.liwp -loop 100
 //	tracegen -emit tcp:127.0.0.1:9191 -procs 64 -emit-iters 200
 package main
 
@@ -45,7 +45,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	var (
-		out        = fs.String("out", "", "output cube file (.limb, .json or .csv); stdout JSON when empty")
+		out        = fs.String("out", "", "output cube file (.lifp, .json or .csv); stdout JSON when empty")
 		usePaper   = fs.Bool("paper", false, "emit the reconstructed paper case-study cube")
 		regions    = fs.Int("regions", 8, "number of code regions")
 		activities = fs.Int("activities", 4, "number of activities")
@@ -54,7 +54,7 @@ func run(args []string, stdout io.Writer) error {
 		severity   = fs.Float64("severity", 0.5, "imbalance severity in [0, 1]")
 		seed       = fs.Uint64("seed", 1, "seed for the random profile")
 		emit       = fs.String("emit", "", "stream events to a collector (unix:PATH or tcp:HOST:PORT) instead of writing a cube")
-		emitEvents = fs.String("events", "", "with -emit: replay this JSON Lines event trace instead of synthesizing from the cube")
+		emitEvents = fs.String("events", "", "with -emit: replay this .liwp event trace instead of synthesizing from the cube")
 		emitLoop   = fs.Int("loop", 1, "with -emit: stream the trace this many times, shifted onto a continuous timeline")
 		emitIters  = fs.Int("emit-iters", 50, "with -emit and no -events: events synthesized per cube cell per processor")
 		emitBatch  = fs.Int("emit-batch", 4096, "with -emit: events per wire frame")

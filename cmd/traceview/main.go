@@ -6,10 +6,10 @@
 //
 //	traceview -paper -activity computation          # Figure 1
 //	traceview -paper -activity point-to-point       # Figure 2
-//	traceview -in run.limb -activity all
+//	traceview -in run.lifp -activity all
 //	traceview -paper -activity computation -format svg > fig1.svg
 //	traceview -paper -activity computation -format counts
-//	traceview -events run.jsonl -timeline -width 100   # Jumpshot-style lanes
+//	traceview -events run.liwp -timeline -width 100   # Jumpshot-style lanes
 //
 // With -window the timeline is segmented into phases (penalized
 // change-point detection over the windowed imbalance trajectory):
@@ -18,15 +18,15 @@
 // "methodology points first, the timeline then shows the flagged
 // window", automated:
 //
-//	traceview -events run.jsonl -timeline -window 0.5 -phases
-//	traceview -events run.jsonl -timeline -window 0.5 -phase 2
+//	traceview -events run.liwp -timeline -window 0.5 -phases
+//	traceview -events run.liwp -timeline -window 0.5 -phase 2
 //
 // -stream additionally replays the trajectory through the streaming
 // segmenter the live monitor runs (querying it after every window, as a
 // scrape would) and reports when each boundary of the final segmentation
 // was first flagged — the online detection latency:
 //
-//	traceview -events run.jsonl -timeline -window 0.5 -phases -stream
+//	traceview -events run.liwp -timeline -window 0.5 -phases -stream
 package main
 
 import (
@@ -55,12 +55,12 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("traceview", flag.ContinueOnError)
 	var (
-		in         = fs.String("in", "", "input tracefile (.limb binary, .json or .csv)")
+		in         = fs.String("in", "", "input tracefile (.lifp binary, .json or .csv)")
 		usePaper   = fs.Bool("paper", false, "render the embedded paper case study")
 		activity   = fs.String("activity", "all", "activity to render, or all")
 		format     = fs.String("format", "ascii", "output format: ascii, svg or counts")
 		band       = fs.Float64("band", 0.15, "band fraction of the range (the paper uses 0.15)")
-		eventsIn   = fs.String("events", "", "event trace (JSON Lines) for the timeline view")
+		eventsIn   = fs.String("events", "", "event trace (.liwp event stream) for the timeline view")
 		doTimeline = fs.Bool("timeline", false, "render a Jumpshot-style per-rank timeline from -events")
 		width      = fs.Int("width", 100, "timeline width in columns")
 		from       = fs.Float64("from", 0, "timeline window start, seconds")
@@ -77,7 +77,7 @@ func run(args []string, stdout io.Writer) error {
 
 	if *doTimeline {
 		if *eventsIn == "" {
-			return fmt.Errorf("-timeline needs -events <file.jsonl>")
+			return fmt.Errorf("-timeline needs -events <file.liwp>")
 		}
 		if (*doPhases || *phaseZoom > 0 || *doStream) && *window <= 0 {
 			return fmt.Errorf("-phases, -phase and -stream need -window <dt> to define the trajectory")

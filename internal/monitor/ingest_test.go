@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"loadimb/internal/trace"
+	"loadimb/internal/tracefmt"
 )
 
 // ingestSpecs returns the listener specs the end-to-end tests cover: a
@@ -79,6 +81,59 @@ func TestIngestEndToEnd(t *testing.T) {
 			sameSnapshot(t, c.Snapshot(), ref.Snapshot())
 		})
 	}
+}
+
+// TestIngestEventFile: an event file is an ingest stream. The bytes
+// SaveEvents writes, copied unmodified into an ingest socket, fold
+// bit-identically to recording the same log in-process.
+func TestIngestEventFile(t *testing.T) {
+	var log trace.Log
+	for _, e := range batchEvents(rand.New(rand.NewSource(31)), 10000, 6, false) {
+		if err := log.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.liwp")
+	if err := tracefmt.SaveEvents(path, &log); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewCollector(Options{Window: 0.25})
+	ref.RecordBatch(log.Events())
+
+	c := NewCollector(Options{Window: 0.25})
+	srv := NewIngestServer(c, IngestOptions{})
+	sock := filepath.Join(dir, "ingest.sock")
+	if _, err := srv.Listen("unix:" + sock); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Close discards frames the server has not read yet: wait until every
+	// event is decoded first.
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Events() < uint64(log.Len()) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Events(); got != uint64(log.Len()) {
+		t.Fatalf("server decoded %d events, want %d", got, log.Len())
+	}
+	sameSnapshot(t, c.Snapshot(), ref.Snapshot())
 }
 
 // TestIngestDropOnFull: in drop mode a connection sending more than a

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -162,6 +164,54 @@ func TestDeltaEndpoint(t *testing.T) {
 		t.Fatalf("foreign-boot response is not a full document: %v", err)
 	} else {
 		stateEquals(t, state, snap2)
+	}
+}
+
+// TestDeltaBodyIsCubeFile: a full /delta body saved to disk is a cube
+// file that OpenCube reads back as the snapshot's cube. A delta body and
+// a body without a cube are refused as corrupt.
+func TestDeltaBodyIsCubeFile(t *testing.T) {
+	c := monitor.NewCollector(monitor.Options{Window: 0.5})
+	srv := httptest.NewServer(Mux(c))
+	defer srv.Close()
+	dir := t.TempDir()
+	save := func(name, since string) string {
+		t.Helper()
+		resp := getDelta(t, srv.URL, since)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /delta?since=%s: %d, %v", since, resp.StatusCode, err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	empty := save("empty.lifp", "")
+	if _, err := tracefmt.OpenCube(empty); !errors.Is(err, tracefmt.ErrCorrupt) {
+		t.Errorf("body without a cube: err = %v, want ErrCorrupt", err)
+	}
+
+	for _, e := range ingestEvents(rand.New(rand.NewSource(12)), 200, 4) {
+		c.Record(e)
+	}
+	snap := c.Snapshot()
+	full := save("x.lifp", "")
+	cube, err := tracefmt.OpenCube(full)
+	if err != nil {
+		t.Fatalf("opening a full /delta body: %v", err)
+	}
+	if !cube.EqualWithin(snap.Cube, 0) {
+		t.Error("cube file differs from the snapshot cube")
+	}
+
+	c.Record(trace.Event{Rank: 1, Region: "halo", Activity: "collective", Start: 50, End: 51})
+	delta := save("delta.lifp", sinceOf(snap.ETag()))
+	if _, err := tracefmt.OpenCube(delta); !errors.Is(err, tracefmt.ErrCorrupt) || !errors.Is(err, tracefmt.ErrDeltaBase) {
+		t.Errorf("delta body: err = %v, want ErrCorrupt and ErrDeltaBase", err)
 	}
 }
 

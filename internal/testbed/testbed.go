@@ -5,10 +5,11 @@
 // run over "measurements collected on different parallel systems for a
 // large variety of scientific programs" (the paper's future-work plan).
 //
-// A repository is a directory holding an index.json plus one binary cube
-// file per entry. Add computes derived metadata — dimensions, program
-// time, and the maximum scaled region index SID_C — so entries can be
-// retrieved by imbalance level as well as by system, program or tag.
+// A repository is a directory holding an index.json plus one cube file
+// (a LIFP document, see tracefmt.ReadCube) per entry. Add computes
+// derived metadata — dimensions, program time, and the maximum scaled
+// region index SID_C — so entries can be retrieved by imbalance level as
+// well as by system, program or tag.
 package testbed
 
 import (
@@ -134,7 +135,7 @@ func validName(name string) error {
 }
 
 func (r *Repository) cubePath(name string) string {
-	return filepath.Join(r.dir, name+".limb")
+	return filepath.Join(r.dir, name+".lifp")
 }
 
 // Add catalogs a cube under the given name, computing the derived

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -30,6 +31,9 @@ func (e Event) Validate() error {
 	}
 	if e.Activity == "" {
 		return fmt.Errorf("trace: event with empty activity")
+	}
+	if math.IsNaN(e.Start) || math.IsInf(e.Start, 0) || math.IsNaN(e.End) || math.IsInf(e.End, 0) {
+		return fmt.Errorf("trace: event times [%g, %g) not finite", e.Start, e.End)
 	}
 	if e.End < e.Start {
 		return fmt.Errorf("trace: event ends at %g before start %g", e.End, e.Start)

@@ -44,6 +44,29 @@ func TestLogAppend(t *testing.T) {
 	}
 }
 
+// TestLogAppendNonFinite: NaN slips past End < Start and ±Inf orders
+// like any time, so non-finite times need their own check.
+func TestLogAppendNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		start, end float64
+	}{
+		{"NaN/NaN", math.NaN(), math.NaN()},
+		{"0/+Inf", 0, math.Inf(1)},
+		{"-Inf/0", math.Inf(-1), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var l Log
+			if err := l.Append(Event{Rank: 0, Region: "l", Activity: "a", Start: tc.start, End: tc.end}); err == nil {
+				t.Errorf("event [%g, %g) accepted", tc.start, tc.end)
+			}
+			if l.Len() != 0 {
+				t.Errorf("Len = %d after a rejected event", l.Len())
+			}
+		})
+	}
+}
+
 func TestLogRanksSpan(t *testing.T) {
 	var l Log
 	if l.Ranks() != 0 || l.Span() != 0 {

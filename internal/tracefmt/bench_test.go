@@ -2,8 +2,11 @@ package tracefmt
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"loadimb/internal/temporal"
@@ -201,6 +204,66 @@ func BenchmarkDeltaDecode(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkEventsFile measures an event file round trip: SaveEvents, then
+// OpenEvents, of a 2^20-event log from 16 ranks over 7 regions and 4
+// activities, each rank's events back to back on its own timeline. One op
+// is one whole file; bytes/event is the file size per event.
+func BenchmarkEventsFile(b *testing.B) {
+	const events, ranks = 1 << 20, 16
+	regions := []string{"init", "loop 1", "loop 2", "loop 3", "loop 4", "loop 5", "halo-exchange"}
+	activities := []string{"computation", "point-to-point", "collective", "synchronization"}
+	rng := rand.New(rand.NewSource(1))
+	clock := make([]float64, ranks)
+	var log trace.Log
+	for i := 0; i < events; i++ {
+		r := rng.Intn(ranks)
+		d := rng.Float64() * 0.01
+		e := trace.Event{
+			Rank:     r,
+			Region:   regions[rng.Intn(len(regions))],
+			Activity: activities[rng.Intn(len(activities))],
+			Start:    clock[r],
+			End:      clock[r] + d,
+		}
+		if err := log.Append(e); err != nil {
+			b.Fatal(err)
+		}
+		clock[r] = e.End
+	}
+	path := filepath.Join(b.TempDir(), "events.liwp")
+	if err := SaveEvents(path, &log); err != nil {
+		b.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		op   func() error
+	}{
+		{"save", func() error { return SaveEvents(path, &log) }},
+		{"open", func() error {
+			got, err := OpenEvents(path)
+			if err == nil && got.Len() != events {
+				err = fmt.Errorf("opened %d events, want %d", got.Len(), events)
+			}
+			return err
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				if err := bc.op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(st.Size())/events, "bytes/event")
+			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 		})
 	}
 }

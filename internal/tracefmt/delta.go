@@ -9,7 +9,8 @@ package tracefmt
 // stream of raw events, a LIFP document is one self-contained message
 // framed by its transport (an HTTP response body): it carries no
 // cross-document state, so any document can be decoded in isolation
-// given only the base snapshot it names.
+// given only the base snapshot it names. A full document carrying a cube
+// is also a cube file (WriteCube, ReadCube).
 //
 // # Document layout
 //

@@ -10,7 +10,7 @@ import (
 
 // OpenCube reads a cube from the named file, selecting the format by
 // extension: ".json" is the JSON format, ".csv" the CSV interchange
-// format, anything else the binary LIMB format.
+// format, anything else a cube file (a LIFP document, see ReadCube).
 func OpenCube(path string) (*trace.Cube, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -58,7 +58,7 @@ func SaveCube(path string, cube *trace.Cube) error {
 	return nil
 }
 
-// OpenEvents reads a JSON-Lines event trace from the named file.
+// OpenEvents reads an event file (a LIWP stream) from the named file.
 func OpenEvents(path string) (*trace.Log, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -72,7 +72,8 @@ func OpenEvents(path string) (*trace.Log, error) {
 	return log, nil
 }
 
-// SaveEvents writes a JSON-Lines event trace to the named file.
+// SaveEvents writes the log to the named file as an event file (a LIWP
+// stream).
 func SaveEvents(path string, log *trace.Log) error {
 	f, err := os.Create(path)
 	if err != nil {

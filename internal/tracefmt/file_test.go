@@ -1,6 +1,7 @@
 package tracefmt
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,7 +12,7 @@ import (
 
 func TestSaveOpenCubeBinary(t *testing.T) {
 	cube := paperCube(t)
-	path := filepath.Join(t.TempDir(), "run.limb")
+	path := filepath.Join(t.TempDir(), "run.lifp")
 	if err := SaveCube(path, cube); err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +49,13 @@ func TestSaveOpenCubeJSON(t *testing.T) {
 }
 
 func TestOpenCubeMissing(t *testing.T) {
-	if _, err := OpenCube(filepath.Join(t.TempDir(), "missing.limb")); err == nil {
+	if _, err := OpenCube(filepath.Join(t.TempDir(), "missing.lifp")); err == nil {
 		t.Error("missing file should fail")
 	}
 }
 
 func TestOpenCubeCorruptMentionsPath(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.limb")
+	path := filepath.Join(t.TempDir(), "bad.lifp")
 	if err := os.WriteFile(path, []byte("garbage data here"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +63,36 @@ func TestOpenCubeCorruptMentionsPath(t *testing.T) {
 	if err == nil {
 		t.Fatal("corrupt file should fail")
 	}
-	if !strings.Contains(err.Error(), "bad.limb") {
+	if !strings.Contains(err.Error(), "bad.lifp") {
 		t.Errorf("error should mention the path: %v", err)
+	}
+}
+
+// TestOpenOldFormatsRefused: a LIMB cube file or a JSON Lines event file
+// from before the formats were unified is refused with ErrBadMagic naming
+// its path.
+func TestOpenOldFormatsRefused(t *testing.T) {
+	dir := t.TempDir()
+	cubePath := filepath.Join(dir, "old.limb")
+	if err := os.WriteFile(cubePath, []byte("LIMB\x01\x00\x00\x00\x01\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	eventsPath := filepath.Join(dir, "old.jsonl")
+	if err := os.WriteFile(eventsPath, []byte(`{"rank":0,"region":"r","activity":"a","start":0,"end":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, cubeErr := OpenCube(cubePath)
+	_, eventsErr := OpenEvents(eventsPath)
+	for path, err := range map[string]error{cubePath: cubeErr, eventsPath: eventsErr} {
+		if !errors.Is(err, ErrBadMagic) || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: err = %v, want ErrBadMagic naming the path", path, err)
+		}
 	}
 }
 
 func TestSaveCubeBadDir(t *testing.T) {
 	cube := paperCube(t)
-	if err := SaveCube(filepath.Join(t.TempDir(), "no", "such", "dir.limb"), cube); err == nil {
+	if err := SaveCube(filepath.Join(t.TempDir(), "no", "such", "dir.lifp"), cube); err == nil {
 		t.Error("unwritable path should fail")
 	}
 }
@@ -79,7 +102,7 @@ func TestSaveOpenEvents(t *testing.T) {
 	if err := log.Append(trace.Event{Rank: 0, Region: "r", Activity: "a", Start: 0, End: 1}); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "events.jsonl")
+	path := filepath.Join(t.TempDir(), "events.liwp")
 	if err := SaveEvents(path, &log); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +116,7 @@ func TestSaveOpenEvents(t *testing.T) {
 }
 
 func TestOpenEventsMissing(t *testing.T) {
-	if _, err := OpenEvents(filepath.Join(t.TempDir(), "missing.jsonl")); err == nil {
+	if _, err := OpenEvents(filepath.Join(t.TempDir(), "missing.liwp")); err == nil {
 		t.Error("missing file should fail")
 	}
 }

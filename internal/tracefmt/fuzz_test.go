@@ -9,62 +9,44 @@ import (
 
 	"loadimb/internal/temporal"
 	"loadimb/internal/trace"
-	"loadimb/internal/workload"
 )
 
-// FuzzReadCube hardens the binary decoder: arbitrary input must either
-// produce a valid cube or a clean error — never a panic or an invalid
-// cube.
-func FuzzReadCube(f *testing.F) {
-	cube, err := workload.ReconstructCube()
-	if err != nil {
-		f.Fatal(err)
+// wireStream encodes events verbatim as one LIWP stream.
+func wireStream(tb testing.TB, events []trace.Event) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := NewWireEncoder(&buf).EncodeBatch(events); err != nil {
+		tb.Fatal(err)
 	}
-	var valid bytes.Buffer
-	if err := WriteCube(&valid, cube); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid.Bytes())
-	f.Add([]byte(Magic))
-	f.Add([]byte("LIMB\x01\x00\x00\x00\xff\xff\xff\xff"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadCube(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		// A successfully decoded cube must be internally consistent.
-		if got.NumRegions() < 1 || got.NumActivities() < 1 || got.NumProcs() < 1 {
-			t.Fatalf("decoded cube with bad dimensions: %d %d %d",
-				got.NumRegions(), got.NumActivities(), got.NumProcs())
-		}
-		if got.ProgramTime() < 0 {
-			t.Fatalf("decoded negative program time %g", got.ProgramTime())
-		}
-		// Round-tripping the decoded cube must succeed.
-		var buf bytes.Buffer
-		if err := WriteCube(&buf, got); err != nil {
-			t.Fatalf("re-encoding decoded cube: %v", err)
-		}
-	})
+	return buf.Bytes()
 }
 
-// FuzzReadEvents hardens the JSON-Lines event decoder.
+// FuzzReadEvents hardens the event file reader: arbitrary bytes must
+// either load as a log of valid events with finite times or fail with a
+// clean error — never a panic.
 func FuzzReadEvents(f *testing.F) {
-	f.Add(`{"rank":0,"region":"r","activity":"a","start":0,"end":1}`)
-	f.Add(`{"rank":-1,"region":"r","activity":"a","start":0,"end":1}`)
-	f.Add("")
-	f.Add("garbage")
-	f.Fuzz(func(t *testing.T, data string) {
-		log, err := ReadEvents(strings.NewReader(data))
+	valid := wireStream(f, []trace.Event{
+		{Rank: 0, Region: "loop 1", Activity: "computation", Start: 0, End: 1},
+		{Rank: 1, Region: "loop 1", Activity: "collective", Start: 0.5, End: 1.25},
+	})
+	f.Add(valid)
+	f.Add(wireStream(f, []trace.Event{{Rank: -1, Region: "r", Activity: "a", Start: 0, End: 1}}))
+	f.Add(wireStream(f, []trace.Event{{Rank: 0, Region: "r", Activity: "a", Start: math.NaN(), End: 1}}))
+	f.Add(valid[:len(valid)-3])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		log, err := ReadEvents(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		for _, e := range log.Events() {
+		log.Each(func(e trace.Event) {
 			if err := e.Validate(); err != nil {
-				t.Fatalf("decoder admitted invalid event: %v", err)
+				t.Fatalf("reader admitted invalid event: %v", err)
 			}
-		}
+			if math.IsNaN(e.Start) || math.IsInf(e.Start, 0) || math.IsNaN(e.End) || math.IsInf(e.End, 0) {
+				t.Fatalf("reader admitted non-finite times [%g, %g)", e.Start, e.End)
+			}
+		})
 	})
 }
 
@@ -73,16 +55,8 @@ func FuzzReadEvents(f *testing.F) {
 // and any stream it fully accepts must re-encode and re-decode to the
 // identical event sequence (valid round trips are the identity).
 func FuzzIngestDecode(f *testing.F) {
-	seed := func(events []trace.Event) []byte {
-		var buf bytes.Buffer
-		enc := NewWireEncoder(&buf)
-		if err := enc.EncodeBatch(events); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	f.Add(seed([]trace.Event{{Rank: 0, Region: "loop 1", Activity: "computation", Start: 0, End: 1}}))
-	f.Add(seed([]trace.Event{
+	f.Add(wireStream(f, []trace.Event{{Rank: 0, Region: "loop 1", Activity: "computation", Start: 0, End: 1}}))
+	f.Add(wireStream(f, []trace.Event{
 		{Rank: 3, Region: "a", Activity: "x", Start: 1.5, End: 2.25},
 		{Rank: 3, Region: "a", Activity: "x", Start: 2.25, End: 2.5},
 		{Rank: 4, Region: "b", Activity: "y", Start: 0, End: 0.125},

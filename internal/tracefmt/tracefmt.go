@@ -1,197 +1,76 @@
-// Package tracefmt defines the on-disk formats for measurement cubes and
-// event traces: a compact versioned binary format (magic "LIMB") and a JSON
-// format for interoperability. Both round-trip losslessly through the
-// in-memory types of internal/trace. It also defines the two network
-// protocols, the LIWP event stream (wire.go) and the LIFP snapshot
-// documents (delta.go), both written on the primitives of codec.go.
+// Package tracefmt defines the formats measurement cubes and event traces
+// travel in, on disk and over the network: LIWP, an event stream
+// (wire.go), and LIFP, a snapshot document holding a cube and an optional
+// window series (delta.go), both written on the primitives of codec.go.
+// A cube file is a LIFP full document and an event file a LIWP stream.
+// A JSON cube format (the /cube.json document) and CSV (csv.go) remain
+// for interoperability. The binary and JSON forms round-trip losslessly.
 package tracefmt
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"loadimb/internal/trace"
 )
 
-// Binary format constants.
+// Codec sizes and bounds.
 const (
-	// Magic identifies a binary cube file.
-	Magic = "LIMB"
-	// Version is the current binary format version.
-	Version = 1
 	// maxNameLen bounds string fields against corrupt or hostile input.
 	maxNameLen = 4096
-	// maxDim bounds the cube dimensions when decoding.
+	// maxDim bounds the processor count of a decoded window series.
 	maxDim = 1 << 20
+	// eventChunk is the event count WriteEvents gathers into one batch.
+	eventChunk = 4096
 )
 
 // Format errors.
 var (
-	// ErrBadMagic is returned when the input does not start with Magic.
-	ErrBadMagic = errors.New("tracefmt: bad magic (not a LIMB file)")
+	// ErrBadMagic is returned when the input does not start with the
+	// format's magic bytes.
+	ErrBadMagic = errors.New("tracefmt: bad magic")
 	// ErrBadVersion is returned for unsupported format versions.
 	ErrBadVersion = errors.New("tracefmt: unsupported format version")
-	// ErrCorrupt is returned for structurally invalid input.
+	// ErrCorrupt is returned for structurally invalid input. Every error
+	// the file readers return for malformed input wraps it.
 	ErrCorrupt = errors.New("tracefmt: corrupt input")
 )
 
-// byteOrder is the file byte order.
-var byteOrder = binary.LittleEndian
-
-// WriteCube encodes the cube in the binary format:
-//
-//	magic[4] version[u32] N[u32] K[u32] P[u32]
-//	programTime[f64]
-//	N regions names, K activity names (u32 length + UTF-8 bytes)
-//	N*K*P f64 times, region-major then activity then processor
+// WriteCube encodes the cube as a cube file: a LIFP full document with
+// zero boot and generation and no window series.
 func WriteCube(w io.Writer, cube *trace.Cube) error {
 	if cube == nil {
 		return errors.New("tracefmt: nil cube")
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(Magic); err != nil {
-		return err
-	}
-	n, k, p := cube.NumRegions(), cube.NumActivities(), cube.NumProcs()
-	for _, v := range []uint32{Version, uint32(n), uint32(k), uint32(p)} {
-		if err := binary.Write(bw, byteOrder, v); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(bw, byteOrder, cube.ProgramTime()); err != nil {
-		return err
-	}
-	for _, name := range cube.Regions() {
-		if err := writeString(bw, name); err != nil {
-			return err
-		}
-	}
-	for _, name := range cube.Activities() {
-		if err := writeString(bw, name); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < k; j++ {
-			for q := 0; q < p; q++ {
-				t, err := cube.At(i, j, q)
-				if err != nil {
-					return err
-				}
-				if err := binary.Write(bw, byteOrder, t); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadCube decodes a binary cube.
-func ReadCube(r io.Reader) (*trace.Cube, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMagic, err)
-	}
-	if string(magic) != Magic {
-		return nil, ErrBadMagic
-	}
-	var version, n, k, p uint32
-	for _, dst := range []*uint32{&version, &n, &k, &p} {
-		if err := binary.Read(br, byteOrder, dst); err != nil {
-			return nil, fmt.Errorf("%w: header: %v", ErrCorrupt, err)
-		}
-	}
-	if version != Version {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, version)
-	}
-	if n == 0 || k == 0 || p == 0 || n > maxDim || k > maxDim || p > maxDim {
-		return nil, fmt.Errorf("%w: dimensions %d x %d x %d", ErrCorrupt, n, k, p)
-	}
-	var programTime float64
-	if err := binary.Read(br, byteOrder, &programTime); err != nil {
-		return nil, fmt.Errorf("%w: program time: %v", ErrCorrupt, err)
-	}
-	if math.IsNaN(programTime) || math.IsInf(programTime, 0) || programTime < 0 {
-		return nil, fmt.Errorf("%w: program time %g", ErrCorrupt, programTime)
-	}
-	regions := make([]string, n)
-	for i := range regions {
-		s, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		regions[i] = s
-	}
-	activities := make([]string, k)
-	for j := range activities {
-		s, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		activities[j] = s
-	}
-	cube, err := trace.NewCube(regions, activities, int(p))
+	doc, err := EncodeSnapshotFull(&DeltaState{Cube: cube})
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	for i := 0; i < int(n); i++ {
-		for j := 0; j < int(k); j++ {
-			for q := 0; q < int(p); q++ {
-				var t float64
-				if err := binary.Read(br, byteOrder, &t); err != nil {
-					return nil, fmt.Errorf("%w: times: %v", ErrCorrupt, err)
-				}
-				if math.IsNaN(t) || math.IsInf(t, 0) {
-					return nil, fmt.Errorf("%w: time %g at (%d,%d,%d)", ErrCorrupt, t, i, j, q)
-				}
-				if err := cube.Set(i, j, q, t); err != nil {
-					return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-				}
-			}
-		}
-	}
-	// Restore the explicit program time only when it exceeds the derived
-	// total (SetProgramTime would reject smaller values caused by
-	// float rounding of an implicit total).
-	if programTime > cube.RegionsTotal() {
-		if err := cube.SetProgramTime(programTime); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	}
-	return cube, nil
-}
-
-func writeString(w io.Writer, s string) error {
-	if len(s) > maxNameLen {
-		return fmt.Errorf("tracefmt: name longer than %d bytes", maxNameLen)
-	}
-	if err := binary.Write(w, byteOrder, uint32(len(s))); err != nil {
 		return err
 	}
-	_, err := io.WriteString(w, s)
+	_, err = w.Write(doc)
 	return err
 }
 
-func readString(r io.Reader) (string, error) {
-	var n uint32
-	if err := binary.Read(r, byteOrder, &n); err != nil {
-		return "", fmt.Errorf("%w: string length: %v", ErrCorrupt, err)
+// ReadCube decodes a cube file: any LIFP full document that carries a
+// cube, such as a full /delta response body. A document without a cube
+// and a delta document are errors. Every error for malformed input wraps
+// ErrCorrupt beside the decoder's finer ErrWire, ErrBadMagic,
+// ErrBadVersion or ErrDeltaBase.
+func ReadCube(r io.Reader) (*trace.Cube, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
 	}
-	if n > maxNameLen {
-		return "", fmt.Errorf("%w: string length %d", ErrCorrupt, n)
+	state, err := DecodeSnapshot(data, nil)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("%w: string body: %v", ErrCorrupt, err)
+	if state.Cube == nil {
+		return nil, fmt.Errorf("%w: document carries no cube", ErrCorrupt)
 	}
-	return string(buf), nil
+	return state.Cube, nil
 }
 
 // jsonCube is the JSON wire representation of a cube.
@@ -268,52 +147,57 @@ func ReadCubeJSON(r io.Reader) (*trace.Cube, error) {
 	return cube, nil
 }
 
-// jsonEvent is the JSON wire representation of one trace event.
-type jsonEvent struct {
-	Rank     int     `json:"rank"`
-	Region   string  `json:"region"`
-	Activity string  `json:"activity"`
-	Start    float64 `json:"start"`
-	End      float64 `json:"end"`
-}
-
-// WriteEvents encodes an event log as JSON Lines (one event per line), the
-// streaming-friendly format tools exchange.
+// WriteEvents encodes an event log as an event file: the LIWP stream a
+// producer sends a live collector, so the file replays into an ingest
+// listener unmodified.
 func WriteEvents(w io.Writer, log *trace.Log) error {
 	if log == nil {
 		return errors.New("tracefmt: nil log")
 	}
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	var encErr error
+	enc := NewWireEncoder(bw)
+	chunk := make([]trace.Event, 0, min(eventChunk, log.Len()))
+	var err error
 	log.Each(func(e trace.Event) {
-		if encErr != nil {
+		if err != nil {
 			return
 		}
-		je := jsonEvent{Rank: e.Rank, Region: e.Region, Activity: e.Activity, Start: e.Start, End: e.End}
-		encErr = enc.Encode(je)
+		chunk = append(chunk, e)
+		if len(chunk) == eventChunk {
+			err = enc.EncodeBatch(chunk)
+			chunk = chunk[:0]
+		}
 	})
-	if encErr != nil {
-		return encErr
+	if err == nil {
+		err = enc.EncodeBatch(chunk)
+	}
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-// ReadEvents decodes a JSON Lines event log.
+// ReadEvents decodes an event file (a LIWP stream) into a log; every
+// event passes Log.Append's validation. Empty input is an empty log.
+// Every error for malformed input wraps ErrCorrupt beside the decoder's
+// finer ErrWire, ErrBadMagic or ErrBadVersion.
 func ReadEvents(r io.Reader) (*trace.Log, error) {
 	var log trace.Log
-	dec := json.NewDecoder(r)
+	dec := NewWireDecoder(r)
+	var batch []trace.Event
 	for {
-		var je jsonEvent
-		if err := dec.Decode(&je); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		var err error
+		batch, err = dec.DecodeBatch(batch[:0])
+		if err == io.EOF {
+			return &log, nil
 		}
-		e := trace.Event{Rank: je.Rank, Region: je.Region, Activity: je.Activity, Start: je.Start, End: je.End}
-		if err := log.Append(e); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+		}
+		for _, e := range batch {
+			if err := log.Append(e); err != nil {
+				return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+			}
 		}
 	}
-	return &log, nil
 }

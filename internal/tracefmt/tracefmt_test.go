@@ -2,9 +2,11 @@ package tracefmt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -82,7 +84,7 @@ func TestReadCubeBadVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	data[4] = 99 // little-endian version field
+	data[4] = 99 // the uvarint version after the "LIFP" magic
 	if _, err := ReadCube(bytes.NewReader(data)); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("bad version err = %v", err)
 	}
@@ -102,16 +104,33 @@ func TestReadCubeTruncated(t *testing.T) {
 	}
 }
 
+// TestReadCubeHugeDimensions: a few hundred bytes declaring a 64 x 64 x
+// 2^20 cube (32 GiB of cells, each dimension within bounds) are refused
+// before the cube is allocated.
 func TestReadCubeHugeDimensions(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString(Magic)
-	// version 1, then absurd dimensions.
-	buf.Write([]byte{1, 0, 0, 0})
-	buf.Write([]byte{255, 255, 255, 255})
-	buf.Write([]byte{1, 0, 0, 0})
-	buf.Write([]byte{1, 0, 0, 0})
-	if _, err := ReadCube(&buf); !errors.Is(err, ErrCorrupt) {
+	doc := []byte(DeltaMagic)
+	doc = append(doc, DeltaVersion, deltaKindFull, 0, 0, deltaOpPresent)
+	doc = binary.AppendUvarint(doc, 64)
+	doc = binary.AppendUvarint(doc, 64)
+	doc = binary.AppendUvarint(doc, 1<<20)
+	for i := 0; i < 128; i++ {
+		name := fmt.Sprintf("n%d", i)
+		doc = append(doc, 0, byte(len(name)))
+		doc = append(doc, name...)
+	}
+	doc = append(doc, 0, 0, deltaOpAbsent) // program time, no cells, no series
+	if len(doc) > 1024 {
+		t.Fatalf("document is %d bytes, want a few hundred", len(doc))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadCube(bytes.NewReader(doc))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
 		t.Errorf("huge dims err = %v", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("refusing a %d-byte document allocated %d bytes", len(doc), alloc)
 	}
 }
 
@@ -184,11 +203,15 @@ func TestWriteEventsNil(t *testing.T) {
 }
 
 func TestReadEventsBad(t *testing.T) {
-	if _, err := ReadEvents(strings.NewReader(`{"rank":-1,"region":"r","activity":"a","start":0,"end":1}`)); !errors.Is(err, ErrCorrupt) {
+	invalid := wireStream(t, []trace.Event{{Rank: -1, Region: "r", Activity: "a", Start: 0, End: 1}})
+	if _, err := ReadEvents(bytes.NewReader(invalid)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("invalid event err = %v", err)
 	}
-	if _, err := ReadEvents(strings.NewReader(`garbage`)); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadEvents(strings.NewReader(`garbage`)); !errors.Is(err, ErrCorrupt) || !errors.Is(err, ErrBadMagic) {
 		t.Errorf("garbage err = %v", err)
+	}
+	if _, err := ReadEvents(strings.NewReader(WireMagic + "\x01garbage")); !errors.Is(err, ErrCorrupt) || !errors.Is(err, ErrWire) {
+		t.Errorf("garbage frame err = %v", err)
 	}
 	log, err := ReadEvents(strings.NewReader(""))
 	if err != nil || log.Len() != 0 {

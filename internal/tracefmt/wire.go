@@ -3,9 +3,10 @@ package tracefmt
 // This file defines the binary event *wire* protocol: the format producers
 // (instrumented programs, possibly not written in Go) use to stream trace
 // events over a socket into a live collector (internal/monitor's ingest
-// listener). It is a streaming format — unlike the LIMB cube file, which
-// holds a finished aggregation, a wire stream carries raw events in
-// arrival order and never ends until the connection closes.
+// listener), and the format of event files (WriteEvents). It is a
+// streaming format — unlike a LIFP document, which holds a finished
+// aggregation, a wire stream carries raw events in arrival order and
+// never ends until the connection (or the file) does.
 //
 // # Stream layout
 //
