@@ -25,7 +25,7 @@ import (
 	"loadimb/internal/monitor"
 	"loadimb/internal/paper"
 	"loadimb/internal/pattern"
-	"loadimb/internal/repair"
+	"loadimb/internal/rebalance"
 	"loadimb/internal/report"
 	"loadimb/internal/search"
 	"loadimb/internal/stats"
@@ -560,27 +560,51 @@ func BenchmarkCharacterize(b *testing.B) {
 }
 
 // BenchmarkTuningLoop regenerates the full Section 2 cycle — identify,
-// localize, repair, verify — automated on the simulated CFD program.
+// localize, repair, verify — automated on the simulated CFD program: a
+// reactive rebalance controller migrates grid rows while the program
+// runs until ID_P meets its target, and the tuned run is verified
+// against the plain one by makespan and by the largest SID_C.
 func BenchmarkTuningLoop(b *testing.B) {
 	cfg := cfd.Defaults()
-	cfg.GridX, cfg.GridY, cfg.Iterations = 64, 64, 4
+	cfg.GridX, cfg.GridY, cfg.Iterations = 64, 128, 12
 	cfg.Imbalance = 0.6
-	res, err := repair.Loop(cfg, repair.Options{Rounds: 4})
+	tune := func() (*cfd.Result, rebalance.Stats) {
+		ctrl, err := rebalance.New(rebalance.PolicyReactive, rebalance.Options{Target: 0.02})
+		if err != nil {
+			b.Fatal(err)
+		}
+		adaptive := cfg
+		adaptive.Rebalance = ctrl
+		res, err := cfd.Run(adaptive)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res, ctrl.Snapshot()
+	}
+	largestSID := func(res *cfd.Result) float64 {
+		return analyze(b, res.Cube).TuningCandidates(core.MaxCriterion{})[0].Value
+	}
+	plain, err := cfd.Run(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	tuned, s := tune()
 	var out string
-	for _, s := range res.Steps {
-		out += fmt.Sprintf("round %d: %s SID %.5f, program %.3f s (%s)\n",
-			s.Round, s.Candidate, s.CandidateSID, s.ProgramTime, s.Action)
+	for _, h := range s.History {
+		out += fmt.Sprintf("boundary %2d: ID_P %.5f, planned %.5f, %2d moves, %.4f s migrated\n",
+			h.Boundary, h.MeasuredID, h.PlannedID, h.Moves, h.Migrated)
 	}
-	out += fmt.Sprintf("total speedup %.3fx, converged=%v\n", res.TotalSpeedup(), res.Converged)
+	pt, tt := plain.Cube.ProgramTime(), tuned.Cube.ProgramTime()
+	before, after := largestSID(plain), largestSID(tuned)
+	out += fmt.Sprintf("converged=%v after %d rounds; program %.3f s -> %.3f s (%.3fx); largest SID_C %.5f -> %.5f\n",
+		s.Converged, s.RoundsToTarget, pt, tt, pt/tt, before, after)
 	dumpOnce(b, "Tuning loop (Section 2's identify-localize-repair-verify)", out)
+	if !s.Converged || tt >= pt || after >= before {
+		b.Fatalf("tuning did not verify: %s", out)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := repair.Loop(cfg, repair.Options{Rounds: 2}); err != nil {
-			b.Fatal(err)
-		}
+		tune()
 	}
 }
 

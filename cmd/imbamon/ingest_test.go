@@ -23,6 +23,9 @@ func TestParseArgsIngest(t *testing.T) {
 	if _, err := parseArgs([]string{"-workload", "none"}); err == nil {
 		t.Error("workload none without -ingest accepted: the daemon would have no event source")
 	}
+	if _, err := parseArgs([]string{"-max-rank", "-1", "-ingest", "tcp:127.0.0.1:0"}); err == nil {
+		t.Error("negative -max-rank accepted: one wire frame could force per-rank state for any rank")
+	}
 }
 
 // TestDaemonIngest: an ingest-only daemon (workload none) aggregates a

@@ -117,7 +117,7 @@ func parseArgs(args []string) (*daemon, error) {
 	fs.StringVar(&d.addr, "addr", ":9190", "HTTP listen address")
 	fs.StringVar(&d.ingest, "ingest", "", "comma-separated event ingest listeners (unix:PATH or tcp:HOST:PORT); remote producers stream binary event frames here")
 	fs.BoolVar(&d.ingestDrop, "ingest-drop", false, "drop events when an ingest connection's ring is full instead of applying backpressure")
-	fs.IntVar(&d.maxRank, "max-rank", 0, "largest event rank accepted; higher ranks are dropped as malformed, bounding the memory one wire frame can force (0 = default 2^20, < 0 = unbounded, only safe without -ingest)")
+	fs.IntVar(&d.maxRank, "max-rank", 0, "largest event rank accepted; higher ranks are dropped as malformed, bounding the memory one wire frame can force (0 = default 2^20; negative values are rejected)")
 	fs.StringVar(&d.workload, "workload", "cfd", "workload: cfd, masterworker, wavefront, amr, or none (ingest-only daemon)")
 	fs.IntVar(&d.procs, "procs", 16, "simulated processors")
 	fs.IntVar(&d.tasks, "tasks", 120, "tasks (masterworker)")
@@ -141,6 +141,9 @@ func parseArgs(args []string) (*daemon, error) {
 	}
 	if fs.NArg() > 0 {
 		return nil, fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+	if d.maxRank < 0 {
+		return nil, fmt.Errorf("-max-rank %d is negative: the rank bound cannot be disabled", d.maxRank)
 	}
 	switch d.workload {
 	case "cfd", "masterworker", "wavefront", "amr":

@@ -1,8 +1,10 @@
 // tune drives the paper's complete performance-tuning cycle on the
 // simulated CFD program: identification and localization (the
-// methodology), repair (damping the decomposition skew behind the
-// computation imbalance), and verification (comparing before/after
-// measurement cubes) — Section 2's iterative process, automated.
+// methodology), repair (the rebalance controller migrating grid rows
+// while the program runs, until ID_P meets its target), and
+// verification (the tuned run against the plain one, by makespan and by
+// the largest scaled index SID_C) — Section 2's iterative process,
+// automated.
 package main
 
 import (
@@ -10,7 +12,8 @@ import (
 	"log"
 
 	"loadimb/internal/cfd"
-	"loadimb/internal/repair"
+	"loadimb/internal/core"
+	"loadimb/internal/rebalance"
 )
 
 func main() {
@@ -18,33 +21,62 @@ func main() {
 
 	cfg := cfd.Defaults()
 	cfg.Imbalance = 0.6 // start badly imbalanced
-	fmt.Printf("tuning the simulated CFD program (starting skew %.2f)\n\n", cfg.Imbalance)
+	const target = 0.02
+	fmt.Printf("tuning the simulated CFD program (starting skew %.2f, reactive target ID_P %.2f)\n\n",
+		cfg.Imbalance, target)
 
-	res, err := repair.Loop(cfg, repair.Options{Rounds: 6, TargetSID: 0.012})
+	plain, err := cfd.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%-6s %-10s %12s %14s %9s  %s\n",
-		"round", "candidate", "SID_C", "program (s)", "speedup", "action")
-	for _, s := range res.Steps {
-		fmt.Printf("%-6d %-10s %12.5f %14.3f %9.3f  %s\n",
-			s.Round, s.Candidate, s.CandidateSID, s.ProgramTime, s.Speedup, s.Action)
+	ctrl, err := rebalance.New(rebalance.PolicyReactive, rebalance.Options{Target: target})
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("\ntotal speedup: %.3fx", res.TotalSpeedup())
-	if res.Converged {
-		fmt.Printf(" (converged: candidate SID below target)")
+	tunedCfg := cfg
+	tunedCfg.Rebalance = ctrl
+	tuned, err := cfd.Run(tunedCfg)
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Println()
 
-	// Independent verification of the first-to-last improvement.
-	first, err := cfd.Run(func() cfd.Config { c := cfg; return c }())
+	s := ctrl.Snapshot()
+	fmt.Printf("%-9s %12s %12s %6s %13s\n", "boundary", "measured ID", "planned ID", "moves", "migrated (s)")
+	for i, h := range s.History {
+		// Once balanced the controller holds: print only the first of
+		// each run of boundaries that planned no moves.
+		if i > 0 && h.Moves == 0 && s.History[i-1].Moves == 0 {
+			continue
+		}
+		fmt.Printf("%-9d %12.5f %12.5f %6d %13.4f\n", h.Boundary, h.MeasuredID, h.PlannedID, h.Moves, h.Migrated)
+	}
+	fmt.Printf("\n%s controller over %d boundaries: converged=%v after %d planning round(s), %d moves, final ID_P %.5f\n",
+		s.Policy, s.Boundaries, s.Converged, s.RoundsToTarget, s.Migrations, s.AchievedID)
+
+	// Verification: the tuned run against the plain one.
+	before, beforeRegion, err := largestSID(plain)
 	if err != nil {
 		log.Fatal(err)
 	}
-	improved, diff, err := repair.Verify(first.Cube, res.Final)
+	after, afterRegion, err := largestSID(tuned)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("verification: improved=%v, program time %.3f s -> %.3f s\n",
-		improved, diff.ProgramBefore, diff.ProgramAfter)
+	pt, tt := plain.Cube.ProgramTime(), tuned.Cube.ProgramTime()
+	fmt.Printf("verification: program time %.3f s -> %.3f s (%.3fx), largest SID_C %.5f (%s) -> %.5f (%s), improved=%v\n",
+		pt, tt, pt/tt, before, beforeRegion, after, afterRegion, tt < pt && after < before)
+}
+
+// largestSID runs the methodology on a run's cube and returns its top
+// tuning candidate's scaled index SID_C and region name.
+func largestSID(res *cfd.Result) (float64, string, error) {
+	a, err := core.Analyze(res.Cube, core.AnalyzeOptions{})
+	if err != nil {
+		return 0, "", err
+	}
+	cands := a.TuningCandidates(core.MaxCriterion{})
+	if len(cands) == 0 {
+		return 0, "", fmt.Errorf("no tuning candidate")
+	}
+	return cands[0].Value, a.Regions[cands[0].Pos].Name, nil
 }

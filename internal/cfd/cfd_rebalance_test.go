@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"loadimb/internal/core"
 	"loadimb/internal/rebalance"
 )
 
@@ -105,6 +106,96 @@ func TestCFDRebalanceConverges(t *testing.T) {
 	}
 	if res.Log.Span() >= baseline.Log.Span() {
 		t.Errorf("rebalanced makespan %g not below baseline %g", res.Log.Span(), baseline.Log.Span())
+	}
+}
+
+// Experiment S8, the paper's Section 2 tuning cycle, runs on the
+// straggler test's grid with no straggler: a reactive controller at
+// s8Target repairs a skewed decomposition while the program runs.
+const s8Target = 0.02
+
+// skewedCFD is the straggler test's grid with no straggler and the
+// given decomposition skew.
+func skewedCFD(skew float64) Config {
+	cfg := stragglerCFD()
+	cfg.SlowFactor = 0
+	cfg.Imbalance = skew
+	return cfg
+}
+
+// runCFD runs cfg with r as its rebalancer; nil gives the plain run.
+func runCFD(t *testing.T, cfg Config, r Rebalancer) *Result {
+	t.Helper()
+	cfg.Rebalance = r
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// tuneCFD runs cfg under a reactive controller at s8Target and fails
+// the test unless the controller converges.
+func tuneCFD(t *testing.T, cfg Config) (*Result, rebalance.Stats) {
+	t.Helper()
+	ctrl, err := rebalance.New(rebalance.PolicyReactive, rebalance.Options{Target: s8Target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runCFD(t, cfg, ctrl)
+	s := ctrl.Snapshot()
+	if !s.Converged {
+		t.Fatalf("never reached target: %+v", s)
+	}
+	return res, s
+}
+
+// largestSID is the largest SID_C of a run's cube.
+func largestSID(t *testing.T, res *Result) float64 {
+	t.Helper()
+	a, err := core.Analyze(res.Cube, core.AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.TuningCandidates(core.MaxCriterion{})[0].Value
+}
+
+// TestCFDRebalanceReducesSkew: a skew-0.6 decomposition converges
+// within 3 planning rounds, and the migrations pay for themselves
+// against the run that measures at the same boundaries but never moves.
+func TestCFDRebalanceReducesSkew(t *testing.T) {
+	cfg := skewedCFD(0.6)
+	tuned, s := tuneCFD(t, cfg)
+	if s.RoundsToTarget > 3 {
+		t.Errorf("converged after %d planning rounds, want <= 3", s.RoundsToTarget)
+	}
+	measureOnly := runCFD(t, cfg, noopRebalancer{})
+	if tuned.Log.Span() >= measureOnly.Log.Span() {
+		t.Errorf("tuned makespan %g not below measure-only %g", tuned.Log.Span(), measureOnly.Log.Span())
+	}
+}
+
+// TestCFDRebalanceVerifiesAgainstPlain is the cycle's verify step: the
+// tuned skew-0.6 run beats the plain run by makespan and by the
+// largest SID_C.
+func TestCFDRebalanceVerifiesAgainstPlain(t *testing.T) {
+	cfg := skewedCFD(0.6)
+	tuned, _ := tuneCFD(t, cfg)
+	plain := runCFD(t, cfg, nil)
+	if tuned.Log.Span() >= plain.Log.Span() {
+		t.Errorf("tuned makespan %g not below plain %g", tuned.Log.Span(), plain.Log.Span())
+	}
+	if got, was := largestSID(t, tuned), largestSID(t, plain); got >= was {
+		t.Errorf("largest SID_C %g not below plain run's %g", got, was)
+	}
+}
+
+// TestCFDRebalanceBalancedStart: an even decomposition plans nothing
+// and is converged at the first boundary.
+func TestCFDRebalanceBalancedStart(t *testing.T) {
+	_, s := tuneCFD(t, skewedCFD(0))
+	if s.Rounds != 0 || s.Migrations != 0 || s.RoundsToTarget != 0 || s.History[0].MeasuredID > s8Target {
+		t.Errorf("even decomposition planned moves: %+v", s)
 	}
 }
 

@@ -483,10 +483,11 @@ func TestCollectorMaxRank(t *testing.T) {
 		t.Errorf("cube has %d procs, want 8 (rank 7 kept, rank 8 dropped)", snap.Cube.NumProcs())
 	}
 
-	// Negative disables the bound for trusted in-process producers.
+	// Negative selects the default bound; there is no unbounded mode.
 	u := NewCollector(Options{MaxRank: -1})
+	u.Record(trace.Event{Rank: 8, Region: "r", Activity: "a", Start: 0, End: 1})
 	u.Record(trace.Event{Rank: DefaultMaxRank + 1, Region: "r", Activity: "a", Start: 0, End: 1})
-	if snap := u.Snapshot(); snap.Events != 1 || snap.Dropped != 0 {
-		t.Errorf("unbounded collector: events=%d dropped=%d, want 1 and 0", snap.Events, snap.Dropped)
+	if snap := u.Snapshot(); snap.Events != 1 || snap.Dropped != 1 {
+		t.Errorf("MaxRank -1: events=%d dropped=%d, want 1 and 1 (default bound)", snap.Events, snap.Dropped)
 	}
 }

@@ -154,15 +154,18 @@ func ParseIngestSpec(spec string) (network, addr string, err error) {
 
 // Listen adds a listener for the given spec ("unix:PATH" or
 // "tcp:HOST:PORT") and starts accepting connections on it. A stale socket
-// file at a unix path is removed first, so a daemon restarted after a
-// crash rebinds instead of failing on the leftover inode.
+// at a unix path is removed first, so a daemon restarted after a crash
+// rebinds instead of failing on the leftover inode. Anything else at the
+// path is left alone and the listen fails.
 func (s *IngestServer) Listen(spec string) (net.Addr, error) {
 	network, addr, err := ParseIngestSpec(spec)
 	if err != nil {
 		return nil, err
 	}
 	if network == "unix" {
-		_ = os.Remove(addr)
+		if fi, err := os.Lstat(addr); err == nil && fi.Mode()&os.ModeSocket != 0 {
+			_ = os.Remove(addr)
+		}
 	}
 	ln, err := net.Listen(network, addr)
 	if err != nil {

@@ -491,3 +491,41 @@ func TestIngestCloseRacesAccept(t *testing.T) {
 		t.Fatalf("%d goroutines after the Close/accept races, baseline %d", n, base)
 	}
 }
+
+// TestIngestListenUnixPath: Listen unlinks a leftover socket at a unix
+// path, so a daemon restarted after a crash rebinds, but it never deletes
+// anything else. A regular file at the path survives byte-identical and
+// the listen fails.
+func TestIngestListenUnixPath(t *testing.T) {
+	dir := t.TempDir()
+	srv := NewIngestServer(NewCollector(Options{}), IngestOptions{})
+	defer srv.Close()
+
+	file := filepath.Join(dir, "data")
+	want := []byte("not a socket\n")
+	if err := os.WriteFile(file, want, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Listen("unix:" + file); err == nil {
+		t.Error("listen over a regular file succeeded")
+	}
+	if got, err := os.ReadFile(file); err != nil || string(got) != string(want) {
+		t.Errorf("regular file after listen: %q, %v; want %q intact", got, err, want)
+	}
+
+	sock := filepath.Join(dir, "stale.sock")
+	ln, err := net.ListenUnix("unix", &net.UnixAddr{Name: sock, Net: "unix"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.SetUnlinkOnClose(false) // a crashed daemon leaves its socket inode behind
+	if err := ln.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Lstat(sock); err != nil {
+		t.Fatalf("stale socket not left behind: %v", err)
+	}
+	if _, err := srv.Listen("unix:" + sock); err != nil {
+		t.Errorf("stale socket not rebound: %v", err)
+	}
+}

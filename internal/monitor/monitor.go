@@ -79,9 +79,8 @@ type Options struct {
 	// rank — an instrumentation bug in-process, or a hostile frame on
 	// the network ingest path, where the rank is decoded from
 	// peer-controlled bytes — must be rejected before it can balloon
-	// collector memory. 0 means DefaultMaxRank; negative disables the
-	// bound (in-process trusted producers only — never with a network
-	// ingest listener attached).
+	// collector memory. 0 or negative means DefaultMaxRank; the bound
+	// cannot be disabled.
 	MaxRank int
 }
 
@@ -128,11 +127,8 @@ type Collector struct {
 // NewCollector creates a collector with the given options.
 func NewCollector(opts Options) *Collector {
 	maxRank := opts.MaxRank
-	switch {
-	case maxRank == 0:
+	if maxRank <= 0 {
 		maxRank = DefaultMaxRank
-	case maxRank < 0:
-		maxRank = math.MaxInt
 	}
 	c := &Collector{
 		window:  opts.Window,

@@ -88,9 +88,6 @@ type Options struct {
 	// plans moves; afterwards it returns empty plans (the SetLoad-style
 	// round cap). Default 64. Negative means unlimited.
 	MaxRounds int
-	// MaxMoves caps the moves per plan. Default: one fewer than the
-	// number of ranks.
-	MaxMoves int
 }
 
 // withDefaults fills zero fields with the documented defaults.
@@ -155,7 +152,7 @@ func checkLoads(loads []float64) error {
 // repeatedly pairs the hottest rank with the coldest and moves
 // damping·min(hot−mean, mean−cold) between them, until the planned
 // vector's ID_P has margin below target, no improving move remains, or
-// the move cap is hit. Because every move shifts at most the smaller of
+// P−1 moves are planned. Because every move shifts at most the smaller of
 // the pair's distances from the mean (which moves preserve), each move
 // strictly decreases the sum of squared deviations — the planned ID_P is
 // always at most the measured one, which is what makes the reactive loop
@@ -176,10 +173,6 @@ func PlanMoves(loads []float64, opts Options) (Plan, error) {
 	if measured <= opts.Target || len(loads) < 2 {
 		return plan, nil
 	}
-	maxMoves := opts.MaxMoves
-	if maxMoves <= 0 {
-		maxMoves = len(loads) - 1
-	}
 	l := append([]float64(nil), loads...)
 	mean := stats.Mean(l)
 	// Plan to margin below target (not to exact balance): migration has
@@ -187,7 +180,7 @@ func PlanMoves(loads []float64, opts Options) (Plan, error) {
 	// rates (a straggler's seconds are cheaper elsewhere) land near —
 	// not exactly on — the planned vector.
 	stopAt := opts.Target / 2
-	for len(plan.Moves) < maxMoves {
+	for len(plan.Moves) < len(loads)-1 {
 		hot, cold := 0, 0
 		for i, v := range l {
 			if v > l[hot] {

@@ -70,9 +70,12 @@ func TestGzipNegotiation(t *testing.T) {
 		t.Fatal("gzip and identity responses decode to different documents")
 	}
 
-	// An explicit q=0 is a refusal, not a request.
-	refused := get("gzip;q=0")
-	if enc := refused.Header().Get("Content-Encoding"); enc != "" {
-		t.Fatalf("gzip served despite q=0 (Content-Encoding %q)", enc)
+	// An explicit zero quality, in any spelling, is a refusal, not a
+	// request.
+	for _, accept := range []string{"gzip;q=0", "gzip;q=0.00", "gzip;q=0.000", "gzip;Q=0"} {
+		refused := get(accept)
+		if enc := refused.Header().Get("Content-Encoding"); enc != "" {
+			t.Errorf("gzip served despite %q (Content-Encoding %q)", accept, enc)
+		}
 	}
 }

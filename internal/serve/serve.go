@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -55,16 +56,21 @@ func serveCached(w http.ResponseWriter, r *http.Request, snap *monitor.Snapshot)
 // acceptsGzip reports whether the request negotiates gzip content coding.
 // A plain scraper (curl, a browser devtool, the tests' default client)
 // gets identity bytes; only a client that explicitly asks pays the
-// decompression.
+// decompression. Names are case-insensitive, and a quality value that is
+// zero in any spelling (q=0, q=0.000, Q=0) or does not parse refuses gzip
+// (RFC 9110, section 12.4.2).
 func acceptsGzip(r *http.Request) bool {
 	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		coding, params, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if strings.TrimSpace(coding) != "gzip" {
+		coding, params, _ := strings.Cut(part, ";")
+		if !strings.EqualFold(strings.TrimSpace(coding), "gzip") {
 			continue
 		}
-		q := strings.TrimSpace(params)
-		if q == "q=0" || strings.HasPrefix(q, "q=0,") || q == "q=0.0" {
-			return false
+		for _, param := range strings.Split(params, ";") {
+			name, value, _ := strings.Cut(param, "=")
+			if strings.EqualFold(strings.TrimSpace(name), "q") {
+				q, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
+				return err == nil && q > 0
+			}
 		}
 		return true
 	}

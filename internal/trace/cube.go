@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -440,23 +441,18 @@ func (c *Cube) Clone() *Cube {
 	return out
 }
 
+// SameShape reports whether two cubes share dimensions and names, so
+// their cells correspond index for index. A nil cube has no shape.
+func SameShape(a, b *Cube) bool {
+	return a != nil && b != nil && a.procs == b.procs &&
+		slices.Equal(a.regions, b.regions) && slices.Equal(a.activities, b.activities)
+}
+
 // EqualWithin reports whether two cubes have identical shape and names and
 // all times (including the program time) within tol of each other.
 func (c *Cube) EqualWithin(other *Cube, tol float64) bool {
-	if other == nil || c.procs != other.procs ||
-		len(c.regions) != len(other.regions) ||
-		len(c.activities) != len(other.activities) {
+	if !SameShape(c, other) {
 		return false
-	}
-	for i, r := range c.regions {
-		if other.regions[i] != r {
-			return false
-		}
-	}
-	for j, a := range c.activities {
-		if other.activities[j] != a {
-			return false
-		}
 	}
 	if math.Abs(c.ProgramTime()-other.ProgramTime()) > tol {
 		return false

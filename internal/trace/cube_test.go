@@ -291,6 +291,25 @@ func TestEqualWithinProgramTime(t *testing.T) {
 	}
 }
 
+func TestSameShape(t *testing.T) {
+	a := mustCube(t, []string{"r1", "r2"}, []string{"x", "y"}, 2)
+	fillCube(t, a)
+	if !SameShape(a, mustCube(t, []string{"r1", "r2"}, []string{"x", "y"}, 2)) {
+		t.Error("same dimensions and names, different times: not the same shape")
+	}
+	for i, c := range []*Cube{
+		mustCube(t, []string{"r1"}, []string{"x", "y"}, 2),
+		mustCube(t, []string{"r1", "other"}, []string{"x", "y"}, 2),
+		mustCube(t, []string{"r1", "r2"}, []string{"x", "z"}, 2),
+		mustCube(t, []string{"r1", "r2"}, []string{"x", "y"}, 3),
+		nil,
+	} {
+		if SameShape(a, c) || SameShape(c, a) {
+			t.Errorf("case %d: shapes reported equal", i)
+		}
+	}
+}
+
 func TestScale(t *testing.T) {
 	c := mustCube(t, []string{"l1"}, []string{"a"}, 2)
 	fillCube(t, c)

@@ -28,8 +28,7 @@ func (j JobCube) qualified(region string) string {
 
 // Federate merges the cubes of several concurrently running jobs into one
 // cube that treats the whole cluster as a single program, the way the
-// paper treats its P=16 run. It differs from Merge, which folds repeated
-// runs of the *same* program (same shape, times added cell-wise):
+// paper treats its P=16 run:
 //
 //   - Processors are offset, not added: job k's processor p becomes
 //     federated processor sum(procs of jobs < k) + p, so distinct jobs'

@@ -346,7 +346,7 @@ func (e *deltaEnc) cubeDelta(prev, cur *trace.Cube) error {
 	case cur == nil:
 		e.byte(deltaOpCleared)
 		return nil
-	case prev == nil || trace.SameShape(prev, cur) != nil:
+	case !trace.SameShape(prev, cur):
 		e.byte(deltaOpReplace)
 		return e.cubeFull(cur)
 	}
