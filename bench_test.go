@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"loadimb/internal/apps"
 	"loadimb/internal/baseline"
@@ -384,6 +385,20 @@ func BenchmarkBaselines(b *testing.B) {
 	}
 }
 
+// pipelineCube synthesizes BenchmarkFullPipeline's cube of n regions, k
+// activities and p processors.
+func pipelineCube(tb testing.TB, n, k, p int) *trace.Cube {
+	tb.Helper()
+	spec := workload.Uniform(n, k, p)
+	spec.Profile = workload.RandomProfile{Seed: 11}
+	spec.Severity = 0.4
+	cube, err := workload.Synthesize(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cube
+}
+
 // BenchmarkFullPipeline measures the complete methodology end to end on
 // cubes of growing size, the scalability view a tool integrator cares
 // about.
@@ -392,13 +407,7 @@ func BenchmarkFullPipeline(b *testing.B) {
 		{7, 4, 16}, {32, 8, 64}, {128, 8, 256},
 	} {
 		b.Run(fmt.Sprintf("N%dxK%dxP%d", size.n, size.k, size.p), func(b *testing.B) {
-			spec := workload.Uniform(size.n, size.k, size.p)
-			spec.Profile = workload.RandomProfile{Seed: 11}
-			spec.Severity = 0.4
-			cube, err := workload.Synthesize(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
+			cube := pipelineCube(b, size.n, size.k, size.p)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Analyze(cube, core.AnalyzeOptions{}); err != nil {
@@ -406,6 +415,25 @@ func BenchmarkFullPipeline(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestFullPipelineAllocs holds the analysis engine's allocation floor:
+// core.Analyze on BenchmarkFullPipeline's N128xK8xP256 cube allocates at
+// least 10x less than the 68,720 objects the engine allocated before the
+// marginal cache (EXPERIMENTS.md, "Analysis engine").
+func TestFullPipelineAllocs(t *testing.T) {
+	const preCacheAllocs = 68_720
+	cube := pipelineCube(t, 128, 8, 256)
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := core.Analyze(cube, core.AnalyzeOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("core.Analyze at N128xK8xP256: %.0f allocs", allocs)
+	if allocs > preCacheAllocs/10 {
+		t.Errorf("core.Analyze allocates %.0f objects at N128xK8xP256, floor %d (10x under %d)",
+			allocs, preCacheAllocs/10, preCacheAllocs)
 	}
 }
 
@@ -695,6 +723,41 @@ func BenchmarkTemporalFold(b *testing.B) {
 	}
 }
 
+// longRunWindow is the window width of the looping run behind
+// BenchmarkBoundedScrapeLongRun and TestBoundedScrapeLongRun.
+const longRunWindow = 0.001
+
+// longRunEvent is the looping run's one event of window w.
+func longRunEvent(w int) trace.Event {
+	t0 := float64(w) * longRunWindow
+	return trace.Event{
+		Rank: w % 4, Region: "loop", Activity: "comp",
+		Start: t0, End: t0 + longRunWindow*0.4,
+	}
+}
+
+// longRunCollector returns a collector n windows into the looping run.
+// It snapshots every 10,000 windows the way a scraper would, so
+// retention and the streaming segmenter are in steady state when
+// measurement starts.
+func longRunCollector(n int) *monitor.Collector {
+	col := monitor.NewCollector(monitor.Options{Window: longRunWindow})
+	for w := 0; w < n; w++ {
+		col.Record(longRunEvent(w))
+		if (w+1)%10_000 == 0 {
+			col.Snapshot()
+		}
+	}
+	return col
+}
+
+// longRunScrape is one incremental scrape of a collector: window w's
+// event arrives, then the collector folds and republishes.
+func longRunScrape(col *monitor.Collector, w int) {
+	col.Record(longRunEvent(w))
+	col.Snapshot()
+}
+
 // BenchmarkBoundedScrapeLongRun measures the live monitor's per-scrape
 // cost after a short (10k windows) and a very long (1M windows) looping
 // run. With the default window cap the two must be within a small factor
@@ -702,36 +765,51 @@ func BenchmarkTemporalFold(b *testing.B) {
 // forever-looping workload stays O(cap) in time and memory no matter how
 // long it has been running. Before the cap, the 1M case held a hundred
 // times the state and every scrape's segmenter pass walked all of it.
+// TestBoundedScrapeLongRun holds the floor.
 func BenchmarkBoundedScrapeLongRun(b *testing.B) {
-	const window = 0.001
 	for _, n := range []int{10_000, 1_000_000} {
 		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
-			col := monitor.NewCollector(monitor.Options{Window: window})
-			// Preload the run history, snapshotting periodically the way a
-			// scraper would, so retention and the streaming segmenter are in
-			// steady state when measurement starts.
-			for w := 0; w < n; w++ {
-				t0 := float64(w) * window
-				col.Record(trace.Event{
-					Rank: w % 4, Region: "loop", Activity: "comp",
-					Start: t0, End: t0 + window*0.4,
-				})
-				if (w+1)%10_000 == 0 {
-					col.Snapshot()
-				}
-			}
+			col := longRunCollector(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// One incremental scrape: one new window's events arrive,
-				// then the collector folds and republish-es.
-				t0 := float64(n+i) * window
-				col.Record(trace.Event{
-					Rank: i % 4, Region: "loop", Activity: "comp",
-					Start: t0, End: t0 + window*0.4,
-				})
-				col.Snapshot()
+				longRunScrape(col, n+i)
 			}
 		})
+	}
+}
+
+// TestBoundedScrapeLongRun holds BenchmarkBoundedScrapeLongRun's floor: a
+// scrape after 1,000,000 windows costs at most twice a scrape after
+// 10,000. The two collectors' scrapes alternate, 50 each, and the fastest
+// of each is compared, so a scrape that shared the cores with other work
+// does not decide the verdict. Wall-clock timing: skipped under -short
+// and under the race detector.
+func TestBoundedScrapeLongRun(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("wall-clock floor: skipped under -short and -race")
+	}
+	const (
+		short, long = 10_000, 1_000_000
+		scrapes     = 50
+	)
+	shortCol, longCol := longRunCollector(short), longRunCollector(long)
+	var shortBest, longBest time.Duration
+	timeScrape := func(best *time.Duration, col *monitor.Collector, w int) {
+		start := time.Now()
+		longRunScrape(col, w)
+		if d := time.Since(start); *best == 0 || d < *best {
+			*best = d
+		}
+	}
+	for i := 0; i < scrapes; i++ {
+		timeScrape(&shortBest, shortCol, short+i)
+		timeScrape(&longBest, longCol, long+i)
+	}
+	ratio := float64(longBest) / float64(shortBest)
+	t.Logf("fastest scrape after %d windows %v, after %d windows %v: %.2fx",
+		short, shortBest, long, longBest, ratio)
+	if ratio > 2 {
+		t.Errorf("a scrape after %d windows costs %.2fx one after %d, floor 2x", long, ratio, short)
 	}
 }
 

@@ -106,11 +106,11 @@ func parseArgs(args []string) (*daemon, error) {
 	fs.IntVar(&d.maxFailures, "max-failures", 3,
 		"consecutive scrape failures before an endpoint is marked stale")
 	fs.IntVar(&d.windowCap, "window-cap", temporal.DefaultWindowCap,
-		"max full-resolution windows in the merged series; older windows decimate into a coarse tail (<= 0 = unbounded)")
+		"max full-resolution windows in the merged series; older windows decimate into a coarse tail (0 = default 4096; negative values are rejected)")
 	fs.BoolVar(&d.raw, "raw", false,
 		"endpoints are lower-tier federators: merge their cubes without re-namespacing regions or relabeling ranks")
 	fs.Int64Var(&d.maxBodyBytes, "max-body-bytes", 0,
-		"per-scrape response body limit in bytes (0 = default 64 MiB, < 0 = unlimited)")
+		"per-scrape response body limit in bytes (0 = default 64 MiB; negative values are rejected)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -119,6 +119,12 @@ func parseArgs(args []string) (*daemon, error) {
 	}
 	if endpoints == "" {
 		return nil, errors.New("no -endpoints to federate")
+	}
+	if d.windowCap < 0 {
+		return nil, fmt.Errorf("-window-cap %d is negative: the window cap cannot be disabled", d.windowCap)
+	}
+	if d.maxBodyBytes < 0 {
+		return nil, fmt.Errorf("-max-body-bytes %d is negative: the body bound cannot be disabled", d.maxBodyBytes)
 	}
 	for _, entry := range strings.Split(endpoints, ",") {
 		entry = strings.TrimSpace(entry)
@@ -141,16 +147,12 @@ func parseArgs(args []string) (*daemon, error) {
 // ctx is canceled. One synchronous scrape round runs before the listener
 // opens, so the first request already sees whatever endpoints are up.
 func (d *daemon) run(ctx context.Context, stdout io.Writer) error {
-	winCap := d.windowCap
-	if winCap <= 0 {
-		winCap = -1 // flag <= 0 means unbounded; federate.Options uses < 0
-	}
 	fed, err := federate.New(federate.Options{
 		Endpoints:    d.endpoints,
 		Interval:     d.interval,
 		Timeout:      d.timeout,
 		MaxFailures:  d.maxFailures,
-		WindowCap:    winCap,
+		WindowCap:    d.windowCap,
 		MaxBodyBytes: d.maxBodyBytes,
 		Logf:         log.Printf,
 	})

@@ -57,6 +57,11 @@ func TestParseArgs(t *testing.T) {
 	if _, err := parseArgs([]string{"-endpoints", "a=x", "stray"}); err == nil {
 		t.Error("stray positional argument accepted")
 	}
+	for _, flag := range []string{"-window-cap", "-max-body-bytes"} {
+		if _, err := parseArgs([]string{"-endpoints", "a=x", flag, "-1"}); err == nil {
+			t.Errorf("negative %s accepted: the bound cannot be disabled", flag)
+		}
+	}
 }
 
 // TestDaemonFederates runs the daemon against two live monitor endpoints

@@ -44,6 +44,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -127,9 +128,9 @@ func parseArgs(args []string) (*daemon, error) {
 	fs.Float64Var(&d.imbalance, "imbalance", 0.2, "decomposition skew in [0, 1] (cfd)")
 	fs.IntVar(&d.slowRank, "slow-rank", 0, "rank slowed by -slow-factor (cfd and amr): a persistent straggler the diagnosis names")
 	fs.Float64Var(&d.slowFac, "slow-factor", 0, "computation multiplier of -slow-rank; 0 disables the injection")
-	fs.Float64Var(&d.window, "window", 5, "temporal window width in virtual seconds (0 = off)")
+	fs.Float64Var(&d.window, "window", 5, "temporal window width in virtual seconds (0 = off; negative values are rejected)")
 	fs.IntVar(&d.windowCap, "window-cap", temporal.DefaultWindowCap,
-		"max full-resolution windows retained; older windows decimate 2:1 into a coarse tail (<= 0 = unbounded)")
+		"max full-resolution windows retained; older windows decimate 2:1 into a coarse tail (0 = default 4096; negative values are rejected)")
 	fs.Float64Var(&d.penalty, "phase-penalty", 0, "segmentation penalty for live phase detection (<= 0 = automatic)")
 	fs.StringVar(&d.rebPolicy, "rebalance", "", "adaptive rebalancing policy: reactive or predictive (cfd, masterworker, amr); empty disables")
 	fs.Float64Var(&d.rebTarget, "rebalance-target", 0.1, "ID_P the rebalancer drives toward")
@@ -144,6 +145,12 @@ func parseArgs(args []string) (*daemon, error) {
 	}
 	if d.maxRank < 0 {
 		return nil, fmt.Errorf("-max-rank %d is negative: the rank bound cannot be disabled", d.maxRank)
+	}
+	if d.window < 0 || math.IsNaN(d.window) || math.IsInf(d.window, 0) {
+		return nil, fmt.Errorf("-window %g is not a finite width >= 0 (0 turns windowing off)", d.window)
+	}
+	if d.windowCap < 0 {
+		return nil, fmt.Errorf("-window-cap %d is negative: the window cap cannot be disabled", d.windowCap)
 	}
 	switch d.workload {
 	case "cfd", "masterworker", "wavefront", "amr":
@@ -257,13 +264,9 @@ func (d *daemon) runOnce(sink trace.Sink) (float64, error) {
 // schedule, then keeps serving until ctx is canceled (or, with -exit,
 // shuts down -linger after the last run).
 func (d *daemon) run(ctx context.Context, stdout io.Writer) error {
-	winCap := d.windowCap
-	if winCap <= 0 {
-		winCap = -1 // flag <= 0 means unbounded; monitor.Options uses < 0
-	}
 	d.col = monitor.NewCollector(monitor.Options{
 		Window:       d.window,
-		WindowCap:    winCap,
+		WindowCap:    d.windowCap,
 		PhasePenalty: d.penalty,
 		MaxRank:      d.maxRank,
 		Regions:      d.regionOrder(),

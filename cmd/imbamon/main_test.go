@@ -96,6 +96,19 @@ func TestParseArgs(t *testing.T) {
 	if _, err := parseArgs([]string{"stray"}); err == nil {
 		t.Error("stray positional argument accepted")
 	}
+	// A negative or non-finite -window would silently turn windowing off
+	// and leave /timeline.json, /phases.json and /diagnose.json at 503.
+	for _, w := range []string{"-5", "NaN", "+Inf"} {
+		if _, err := parseArgs([]string{"-window", w}); err == nil {
+			t.Errorf("-window %s accepted", w)
+		}
+	}
+	if _, err := parseArgs([]string{"-window-cap", "-1"}); err == nil {
+		t.Error("negative -window-cap accepted: the window cap cannot be disabled")
+	}
+	if _, err := parseArgs([]string{"-window", "0", "-window-cap", "0"}); err != nil {
+		t.Errorf("-window 0 -window-cap 0 (windowing off, default cap) rejected: %v", err)
+	}
 }
 
 // TestDaemonLiveMetrics is the end-to-end acceptance test: the daemon

@@ -242,8 +242,8 @@ func TestAMRRebalanceConvergesOnStraggler(t *testing.T) {
 	if !s.Converged {
 		t.Fatalf("reactive never reached target: %+v", s)
 	}
-	if s.AchievedID > 0.1 {
-		t.Errorf("final measured ID %g above target", s.AchievedID)
+	if s.AchievedID >= 0.1 {
+		t.Errorf("final measured ID %g not below target 0.1", s.AchievedID)
 	}
 	// The run must beat the no-rebalance baseline on makespan: the
 	// straggler sheds cells, so the critical path shortens.

@@ -10,8 +10,11 @@ import (
 // a persistent 5x straggler under each policy — and report the numbers
 // the paper's closed loop is judged by: makespan, the achieved ID_P,
 // and how many decision rounds the controller needed to reach its
-// target. scripts/bench_rebalance.sh turns these into
-// BENCH_rebalance.json and checks the acceptance floors.
+// target. The AMR acceptance floors (reactive ID_P below 0.1 with a
+// makespan gain; predictive rounds no more than reactive's) are held by
+// TestAMRRebalanceConvergesOnStraggler and
+// TestAMRPredictiveNoSlowerThanReactive, which run the same scenario at
+// the same target.
 
 func benchAMR(b *testing.B, policy string, target float64) {
 	b.ReportAllocs()

@@ -16,7 +16,7 @@ import (
 // cut between the phases.
 func stragglerSeries(t *testing.T, procs, culprit int, extra float64) (*temporal.Series, []temporal.Phase) {
 	t.Helper()
-	f := temporal.NewFold(temporal.Options{Window: 1.0, PerActivity: true, PerRegion: true, Procs: procs})
+	f := temporal.NewFold(temporal.Options{Window: 1.0, PerActivity: true, PerRegion: true})
 	for w := 0; w < 8; w++ {
 		lo := float64(w)
 		for p := 0; p < procs; p++ {
@@ -124,7 +124,7 @@ func TestDiagnoseDegenerateInputs(t *testing.T) {
 		t.Fatalf("single-rank findings: %+v", rep.Findings)
 	}
 	// All-idle phase: one cohort of everyone, no findings, no NaN.
-	f2 := temporal.NewFold(temporal.Options{Window: 1, Procs: 4, PerActivity: true})
+	f2 := temporal.NewFold(temporal.Options{Window: 1, PerActivity: true})
 	f2.Add(trace.Event{Rank: 3, Region: "r", Activity: "a", Start: 0.5, End: 0.5})
 	ser2 := f2.Series()
 	rep2 := Diagnose(ser2, temporal.Segment(ser2.Stats(), 0), Options{})
@@ -179,7 +179,7 @@ func TestDiagnoseDeterministic(t *testing.T) {
 func TestDiagnoseAggregateFallback(t *testing.T) {
 	// A series without per-activity/per-region vectors still diagnoses
 	// on the aggregate busy dimension.
-	f := temporal.NewFold(temporal.Options{Window: 1, Procs: 8})
+	f := temporal.NewFold(temporal.Options{Window: 1})
 	for w := 0; w < 6; w++ {
 		lo := float64(w)
 		for p := 0; p < 8; p++ {

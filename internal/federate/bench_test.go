@@ -53,6 +53,11 @@ func benchFleet(b *testing.B) ([]*monitor.Collector, []Endpoint, *httptest.Serve
 	return collectors, endpoints, srv
 }
 
+// minDeltaReduction is the floor on how many times fewer body bytes a
+// delta round moves than refetching the changed endpoint's JSON
+// documents would.
+const minDeltaReduction = 10
+
 // BenchmarkFederateScrape measures one steady-state scrape round of a
 // 100-endpoint fleet where a single endpoint changed since the last
 // round — the common case for any real scrape interval: 99 endpoints
@@ -60,9 +65,10 @@ func benchFleet(b *testing.B) ([]*monitor.Collector, []Endpoint, *httptest.Serve
 // wire_B/op is body bytes fetched per round; json_B/op is what the
 // changed endpoint's gzip'd /cube.json + /windows.json weigh, i.e. the
 // full documents a JSON scraper would refetch instead (measured outside
-// the timed region), so wire_B/op against json_B/op is the ≥10x
-// reduction in BENCH_federate.json; p99_ms is the 99th-percentile
-// per-endpoint scrape latency.
+// the timed region); p99_ms is the 99th-percentile per-endpoint scrape
+// latency. Byte counts do not depend on timing, so every run, a 1x
+// smoke included, fails when json_B/op is under minDeltaReduction times
+// wire_B/op.
 func BenchmarkFederateScrape(b *testing.B) {
 	collectors, endpoints, _ := benchFleet(b)
 	f, err := New(Options{
@@ -104,10 +110,16 @@ func BenchmarkFederateScrape(b *testing.B) {
 	for _, h := range f.Health() {
 		endBytes += h.Bytes
 	}
-	b.ReportMetric(float64(endBytes-startBytes)/float64(b.N), "wire_B/op")
-	b.ReportMetric(float64(jsonBytes)/float64(b.N), "json_B/op")
+	wirePerRound := float64(endBytes-startBytes) / float64(b.N)
+	jsonPerRound := float64(jsonBytes) / float64(b.N)
+	b.ReportMetric(wirePerRound, "wire_B/op")
+	b.ReportMetric(jsonPerRound, "json_B/op")
 	sort.Float64s(latencies)
 	if len(latencies) > 0 {
 		b.ReportMetric(latencies[len(latencies)*99/100], "p99_ms")
+	}
+	if jsonPerRound < minDeltaReduction*wirePerRound {
+		b.Fatalf("a delta round moved %.0f B against %.0f B of JSON documents: %.1fx, floor %dx",
+			wirePerRound, jsonPerRound, jsonPerRound/wirePerRound, minDeltaReduction)
 	}
 }

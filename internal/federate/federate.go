@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -79,14 +78,14 @@ type Options struct {
 	// resolution plus a decimated coarse tail of at most WindowCap
 	// windows. Endpoints usually arrive pre-bounded (their own caps), but
 	// a merged ring can still outgrow any one endpoint's — endpoints
-	// decimate at different times — and unbounded endpoints must not make
-	// the federator unbounded. 0 means temporal.DefaultWindowCap;
-	// negative disables the cap.
+	// decimate at different times. 0 or negative means
+	// temporal.DefaultWindowCap; the cap cannot be disabled.
 	WindowCap int
 	// MaxBodyBytes bounds every scrape response body, so a hostile or
 	// broken endpoint cannot OOM the federator. A response whose
 	// Content-Length or actual stream exceeds the bound fails the scrape.
-	// 0 means DefaultMaxBodyBytes; negative disables the bound.
+	// 0 or negative means DefaultMaxBodyBytes; the bound cannot be
+	// disabled.
 	MaxBodyBytes int64
 	// Client overrides the HTTP client (tests inject httptest clients);
 	// the per-request Timeout is applied through the request context
@@ -179,17 +178,11 @@ func New(opts Options) (*Federator, error) {
 		maxBody:     opts.MaxBodyBytes,
 		boot:        monitor.BootNonce(),
 	}
-	if f.maxBody == 0 {
+	if f.maxBody <= 0 {
 		f.maxBody = DefaultMaxBodyBytes
 	}
-	if f.maxBody < 0 {
-		f.maxBody = math.MaxInt64
-	}
-	if f.windowCap == 0 {
+	if f.windowCap <= 0 {
 		f.windowCap = temporal.DefaultWindowCap
-	}
-	if f.windowCap < 0 {
-		f.windowCap = 0 // explicit opt-out: unbounded
 	}
 	if f.interval <= 0 {
 		f.interval = 2 * time.Second

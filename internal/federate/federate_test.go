@@ -15,6 +15,7 @@ import (
 	"loadimb/internal/monitor"
 	"loadimb/internal/serve"
 	"loadimb/internal/stats"
+	"loadimb/internal/temporal"
 	"loadimb/internal/trace"
 	"loadimb/internal/tracefmt"
 )
@@ -495,6 +496,25 @@ func TestNewValidation(t *testing.T) {
 	}
 	if got := f.Health()[0].Name; got != "node7:9190" {
 		t.Errorf("derived endpoint name = %q, want node7:9190", got)
+	}
+}
+
+// TestNewBoundsDefault: a WindowCap or MaxBodyBytes of 0 or below
+// selects the default bound; neither bound can be disabled.
+func TestNewBoundsDefault(t *testing.T) {
+	for _, v := range []int{0, -1} {
+		f, err := New(Options{
+			Endpoints:    []Endpoint{{Name: "a", URL: "http://h1:1"}},
+			WindowCap:    v,
+			MaxBodyBytes: int64(v),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.windowCap != temporal.DefaultWindowCap || f.maxBody != DefaultMaxBodyBytes {
+			t.Errorf("option value %d: window cap %d, body bound %d; want the defaults %d and %d",
+				v, f.windowCap, f.maxBody, temporal.DefaultWindowCap, DefaultMaxBodyBytes)
+		}
 	}
 }
 

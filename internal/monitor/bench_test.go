@@ -5,26 +5,72 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"loadimb/internal/cfd"
 	"loadimb/internal/trace"
 )
 
+// intakeEvent is the event BenchmarkCollectorRecord and
+// BenchmarkRecordBatch publish.
+var intakeEvent = trace.Event{Rank: 3, Region: "loop 1", Activity: "computation", Start: 1, End: 2}
+
+// A timer is the part of *testing.B the intake loops use, so that
+// TestRecordTimingFloors can time the same loops with a stopwatch.
+type timer interface {
+	StartTimer()
+	StopTimer()
+}
+
+// stopwatch is a timer over wall-clock time.
+type stopwatch struct {
+	start   time.Time
+	elapsed time.Duration
+}
+
+func (s *stopwatch) StartTimer() { s.start = time.Now() }
+func (s *stopwatch) StopTimer()  { s.elapsed += time.Since(s.start) }
+
+// recordEvents is BenchmarkCollectorRecord's loop: n Record calls.
+func recordEvents(c *Collector, n int) {
+	for i := 0; i < n; i++ {
+		c.Record(intakeEvent)
+	}
+}
+
+// publishBatches is BenchmarkRecordBatch's loop: n events published
+// through p in 512-event batches. The ring drains run with tm stopped,
+// so only the producer-side publish is timed; the last drain is the
+// caller's.
+func publishBatches(tm timer, c *Collector, p *Producer, n int) {
+	var batch [512]trace.Event
+	for i := range batch {
+		batch[i] = intakeEvent
+	}
+	for i := 0; i < n; {
+		k := min(len(batch), n-i)
+		p.RecordBatch(batch[:k])
+		i += k
+		if p.Pending() > 1<<15 {
+			tm.StopTimer()
+			c.Fold()
+			tm.StartTimer()
+		}
+	}
+}
+
 // BenchmarkCollectorRecord measures the instrumentation hot path: one
 // Record call on an otherwise idle collector. The observability budget is
-// < 1 us/event (see EXPERIMENTS.md "Monitoring overhead"). Nothing else
-// ever drains the Record ring, so the recorder folds it itself every 256
-// events and the per-event cost includes that fold, amortized;
-// BenchmarkCollectorRecordWindowed adds periodic snapshots and the
-// windowing fold (the deployment shape).
+// < 1 us/event (see EXPERIMENTS.md "Monitoring overhead"), held by
+// TestRecordTimingFloors. Nothing else ever drains the Record ring, so
+// the recorder folds it itself every 256 events and the per-event cost
+// includes that fold, amortized; BenchmarkCollectorRecordWindowed adds
+// periodic snapshots and the windowing fold (the deployment shape).
 func BenchmarkCollectorRecord(b *testing.B) {
 	c := NewCollector(Options{})
-	e := trace.Event{Rank: 3, Region: "loop 1", Activity: "computation", Start: 1, End: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Record(e)
-	}
+	recordEvents(c, b.N)
 	if c.Events() != uint64(b.N) {
 		b.Fatal("lost events")
 	}
@@ -64,32 +110,17 @@ func BenchmarkCollectorRecordWindowed(b *testing.B) {
 // BenchmarkRecordBatch measures the zero-alloc batched publish path: one
 // SPSC producer streaming 512-event batches. Each iteration is one event,
 // so ns/op compares directly against BenchmarkCollectorRecord — the
-// acceptance floor is a >= 5x improvement with 0 allocs/op (the alloc
-// guard proper is TestProducerRecordBatchAllocs). The periodic ring drain
-// runs off the timer: like the Record baseline, this isolates the
-// producer-side publish cost.
+// acceptance floor is a >= 5x improvement (held by
+// TestRecordTimingFloors) with 0 allocs/op (held by
+// TestProducerRecordBatchAllocs). The periodic ring drain runs off the
+// timer: like the Record baseline, this isolates the producer-side
+// publish cost.
 func BenchmarkRecordBatch(b *testing.B) {
 	c := NewCollector(Options{})
 	p := c.Producer(ProducerOptions{})
-	batch := make([]trace.Event, 512)
-	for i := range batch {
-		batch[i] = trace.Event{Rank: 3, Region: "loop 1", Activity: "computation", Start: 1, End: 2}
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for n := 0; n < b.N; {
-		k := len(batch)
-		if rem := b.N - n; k > rem {
-			k = rem
-		}
-		p.RecordBatch(batch[:k])
-		n += k
-		if p.Pending() > 1<<15 {
-			b.StopTimer()
-			c.Fold()
-			b.StartTimer()
-		}
-	}
+	publishBatches(b, c, p, b.N)
 	b.StopTimer()
 	c.Fold()
 	if c.Events() != uint64(b.N) {
@@ -97,12 +128,66 @@ func BenchmarkRecordBatch(b *testing.B) {
 	}
 }
 
+// TestRecordTimingFloors holds the two wall-clock floors of the intake
+// benchmarks: Record costs under 1 µs per event, and the batched
+// producer publish is at least 5x cheaper per event than Record. Both
+// loops run over a fixed event count in interleaved rounds on one warm
+// collector each, and the fastest round of each is compared, so a round
+// that shared the cores with other work does not decide the verdict.
+// Wall-clock timing: skipped under -short and under the race detector.
+func TestRecordTimingFloors(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("wall-clock floor: skipped under -short and -race")
+	}
+	const (
+		events = 1 << 20
+		rounds = 10
+	)
+	rc := NewCollector(Options{})
+	bc := NewCollector(Options{})
+	bp := bc.Producer(ProducerOptions{})
+	var record, batch time.Duration
+	for r := 0; r < rounds; r++ {
+		start := time.Now()
+		recordEvents(rc, events)
+		if d := time.Since(start); r == 0 || d < record {
+			record = d
+		}
+
+		var sw stopwatch
+		sw.StartTimer()
+		publishBatches(&sw, bc, bp, events)
+		sw.StopTimer()
+		bc.Fold()
+		if r == 0 || sw.elapsed < batch {
+			batch = sw.elapsed
+		}
+	}
+	perRecord := float64(record.Nanoseconds()) / events
+	speedup := float64(record) / float64(batch)
+	t.Logf("Record %.1f ns/event, RecordBatch %.2f ns/event: %.2fx",
+		perRecord, float64(batch.Nanoseconds())/events, speedup)
+	if perRecord >= 1000 {
+		t.Errorf("Record costs %.0f ns per event, budget 1000", perRecord)
+	}
+	if speedup < 5 {
+		t.Errorf("RecordBatch is %.2fx cheaper per event than Record, floor 5x", speedup)
+	}
+}
+
+// minWireEventsPerSec is the floor on BenchmarkIngestWire's sustained
+// rate.
+const minWireEventsPerSec = 10e6
+
 // BenchmarkIngestWire measures the full remote ingest pipeline over a
 // Unix domain socket: client-side frame encoding, the socket, server-side
 // decoding into a producer ring and the background fold, pipelined across
-// goroutines. Each iteration is one event, so the sustained wire rate is
-// 1e9/ns_per_op events/sec; the acceptance floor is 10M events/sec (see
-// BENCH_ingest.json).
+// goroutines. Each iteration is one event; events/s reports the sustained
+// rate. The floor, minWireEventsPerSec, is absolute: the pipeline's three
+// stages run on separate goroutines and need at least two cores to
+// themselves, so no ratio against a co-running baseline would hold it.
+// It applies only to measurement runs (b.N >= 2^20); a 1x smoke times
+// one event.
 func BenchmarkIngestWire(b *testing.B) {
 	c := NewCollector(Options{})
 	srv := NewIngestServer(c, IngestOptions{})
@@ -143,15 +228,20 @@ func BenchmarkIngestWire(b *testing.B) {
 	if err := srv.Close(); err != nil {
 		b.Fatal(err)
 	}
+	eps := float64(b.N) / b.Elapsed().Seconds()
+	b.ReportMetric(eps, "events/s")
+	if b.N >= 1<<20 && eps < minWireEventsPerSec {
+		b.Fatalf("wire ingest sustained %.3gM events/s, floor %.3gM", eps/1e6, minWireEventsPerSec/1e6)
+	}
 }
 
 // BenchmarkSelfInterference measures how much attaching the observer
 // slows the observed program: one cfd run per iteration with (a) no sink,
 // (b) an in-process collector, (c) the wire client streaming to a local
-// ingest daemon. The interference ratio attached/detached (and
-// wire/detached) is the self-interference figure recorded in
-// BENCH_ingest.json — the cost of observation, in units of the
-// uninstrumented run.
+// ingest daemon. The ratios attached/detached and wire/detached are the
+// cost of observation, in units of the uninstrumented run; the
+// benchmark harness's observed_app workload measures the same cost with
+// its spread (EXPERIMENTS.md, "Ingest throughput & self-interference").
 func BenchmarkSelfInterference(b *testing.B) {
 	cfg := cfd.Defaults()
 	cfg.Procs = 8

@@ -10,6 +10,7 @@ import (
 
 	"loadimb/internal/apps"
 	"loadimb/internal/stats"
+	"loadimb/internal/temporal"
 	"loadimb/internal/trace"
 )
 
@@ -489,5 +490,23 @@ func TestCollectorMaxRank(t *testing.T) {
 	u.Record(trace.Event{Rank: DefaultMaxRank + 1, Region: "r", Activity: "a", Start: 0, End: 1})
 	if snap := u.Snapshot(); snap.Events != 1 || snap.Dropped != 1 {
 		t.Errorf("MaxRank -1: events=%d dropped=%d, want 1 and 1 (default bound)", snap.Events, snap.Dropped)
+	}
+}
+
+// TestCollectorWindowCapDefault: a WindowCap of 0 or below selects
+// temporal.DefaultWindowCap; the live window series has no unbounded
+// mode.
+func TestCollectorWindowCapDefault(t *testing.T) {
+	for _, winCap := range []int{0, -1} {
+		c := NewCollector(Options{Window: 1, WindowCap: winCap})
+		for w := 0; w < temporal.DefaultWindowCap+64; w++ {
+			start := float64(w)
+			c.Record(trace.Event{Rank: 0, Region: "r", Activity: "a", Start: start, End: start + 0.5})
+		}
+		ser := c.Snapshot().Series
+		if n := len(ser.Windows); n > temporal.DefaultWindowCap || ser.CoarseWindow == 0 {
+			t.Errorf("WindowCap %d: ring holds %d windows, coarse width %g; want at most %d and a decimated tail",
+				winCap, n, ser.CoarseWindow, temporal.DefaultWindowCap)
+		}
 	}
 }

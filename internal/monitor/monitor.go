@@ -68,10 +68,9 @@ type Options struct {
 	// WindowCap windows at full resolution and decimates older ones 2:1
 	// into a coarse tail of at most WindowCap windows, so a forever-running
 	// workload holds O(WindowCap) state instead of growing without bound.
-	// 0 means temporal.DefaultWindowCap — the live path is bounded by
-	// default, since it is exactly the path that cannot assume the run
-	// ends. Negative disables the cap (the pre-retention unbounded
-	// behavior, for runs known to be short).
+	// 0 or negative means temporal.DefaultWindowCap; the cap cannot be
+	// disabled, since the live path is exactly the one that cannot
+	// assume the run ends.
 	WindowCap int
 	// MaxRank bounds the processor rank an event may carry; events above
 	// it are dropped and counted as malformed. The fold allocates
@@ -147,11 +146,8 @@ func NewCollector(opts Options) *Collector {
 		// split so /diagnose.json can attribute a rank's divergence to
 		// the code region the extra time went to.
 		winCap := opts.WindowCap
-		if winCap == 0 {
+		if winCap <= 0 {
 			winCap = temporal.DefaultWindowCap
-		}
-		if winCap < 0 {
-			winCap = 0 // explicit opt-out: unbounded
 		}
 		c.state.tw = temporal.NewFold(temporal.Options{
 			Window:      opts.Window,

@@ -124,7 +124,7 @@ func (c *Controller) Decide(boundary int, measured []float64) (Plan, error) {
 }
 
 func (c *Controller) decideLocked(boundary int, measured []float64) (Plan, error) {
-	if c.opts.MaxRounds >= 0 && c.stats.Rounds >= c.opts.MaxRounds {
+	if c.stats.Rounds >= maxRounds {
 		// Round cap hit: stop planning, keep recording the measurements.
 		id, err := LoadID(measured)
 		if err != nil {

@@ -84,11 +84,12 @@ type Options struct {
 	// Default 0.5. The predictive policy ignores it and applies the
 	// full correction to its forecast.
 	Damping float64
-	// MaxRounds caps the number of boundaries at which the controller
-	// plans moves; afterwards it returns empty plans (the SetLoad-style
-	// round cap). Default 64. Negative means unlimited.
-	MaxRounds int
 }
+
+// maxRounds caps the number of boundaries at which a controller plans
+// moves; afterwards it returns empty plans (the SetLoad-style round
+// cap).
+const maxRounds = 64
 
 // withDefaults fills zero fields with the documented defaults.
 func (o Options) withDefaults() Options {
@@ -97,9 +98,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Damping == 0 {
 		o.Damping = 0.5
-	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 64
 	}
 	return o
 }

@@ -118,7 +118,7 @@ func TestReactiveMonotoneConvergent(t *testing.T) {
 		if trial%2 == 0 {
 			loads[int(rng.next()*float64(procs))] *= 5
 		}
-		ctrl, err := New(PolicyReactive, Options{Target: 0.1, MaxRounds: 100})
+		ctrl, err := New(PolicyReactive, Options{Target: 0.1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestPredictiveNoSlowerThanReactive(t *testing.T) {
 		}
 		base[int(rng.next()*float64(procs))] *= 5
 		rounds := func(policy string) int {
-			ctrl, err := New(policy, Options{Target: 0.1, MaxRounds: 100})
+			ctrl, err := New(policy, Options{Target: 0.1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,17 +215,22 @@ func TestControllerMemoizesBoundaries(t *testing.T) {
 	}
 }
 
+// TestControllerRoundCap: on loads that never change (nothing applies
+// the plans), every boundary up to the cap plans moves, and the one past
+// it plans none.
 func TestControllerRoundCap(t *testing.T) {
-	ctrl, err := New(PolicyReactive, Options{Target: 0.01, MaxRounds: 1})
+	ctrl, err := New(PolicyReactive, Options{Target: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
 	loads := []float64{10, 1, 1, 1}
-	plan, err := ctrl.Decide(0, loads)
-	if err != nil || len(plan.Moves) == 0 {
-		t.Fatalf("first round: plan %v, err %v", plan.Moves, err)
+	for boundary := 0; boundary < maxRounds; boundary++ {
+		plan, err := ctrl.Decide(boundary, loads)
+		if err != nil || len(plan.Moves) == 0 {
+			t.Fatalf("boundary %d: plan %v, err %v", boundary, plan.Moves, err)
+		}
 	}
-	plan, err = ctrl.Decide(1, loads)
+	plan, err := ctrl.Decide(maxRounds, loads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +238,8 @@ func TestControllerRoundCap(t *testing.T) {
 		t.Errorf("round cap ignored: %d moves planned", len(plan.Moves))
 	}
 	s := ctrl.Snapshot()
-	if s.Rounds != 1 || s.Boundaries != 2 {
-		t.Errorf("rounds = %d boundaries = %d, want 1 and 2", s.Rounds, s.Boundaries)
+	if s.Rounds != maxRounds || s.Boundaries != maxRounds+1 {
+		t.Errorf("rounds = %d boundaries = %d, want %d and %d", s.Rounds, s.Boundaries, maxRounds, maxRounds+1)
 	}
 }
 

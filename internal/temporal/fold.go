@@ -35,11 +35,6 @@ type Options struct {
 	// Window is the window width in virtual seconds; it must be
 	// positive.
 	Window float64
-	// Procs is the minimum processor count of the produced series:
-	// trajectories divide load over every processor of the run, so ranks
-	// that never produce a matching event still count as zeros. 0 means
-	// the maximum rank seen plus one.
-	Procs int
 	// Activities, when non-empty, restricts the busy-time accumulation
 	// to the named activities. The live monitor folds everything; the
 	// offline toolchain uses the filter to compute, say, the trajectory
@@ -135,7 +130,6 @@ func NewFold(opts Options) *Fold {
 	}
 	f := &Fold{
 		window:  opts.Window,
-		procs:   opts.Procs,
 		track:   opts.TrackActivities,
 		perAct:  opts.PerActivity,
 		perReg:  opts.PerRegion,
@@ -156,7 +150,7 @@ func NewFold(opts Options) *Fold {
 func (f *Fold) Window() float64 { return f.window }
 
 // Procs returns the processor count seen so far: the maximum event rank
-// plus one, at least Options.Procs.
+// plus one.
 func (f *Fold) Procs() int { return f.procs }
 
 // Add folds one event. The event must be well formed (trace.Event
@@ -521,9 +515,8 @@ func dominant(actSeconds map[string]float64) string {
 
 // FoldLog folds a whole event log and returns its window series — the
 // offline equivalent of the monitor's incremental windowing. The
-// processor count is the log's rank count (or Options.Procs if larger),
-// so filtered trajectories still standardize over every processor of
-// the run.
+// processor count is the log's rank count, so filtered trajectories
+// still standardize over every processor of the run.
 func FoldLog(lg *trace.Log, opts Options) (*Series, error) {
 	if lg == nil {
 		return nil, fmt.Errorf("temporal: nil log")

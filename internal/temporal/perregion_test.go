@@ -55,7 +55,7 @@ func TestFoldPerRegionOffByDefault(t *testing.T) {
 }
 
 func TestRegionSeriesProjection(t *testing.T) {
-	f := NewFold(Options{Window: 1.0, PerRegion: true, Procs: 3})
+	f := NewFold(Options{Window: 1.0, PerRegion: true})
 	f.Add(regionEvent(0, "solve", "computation", 0, 1))
 	f.Add(regionEvent(1, "halo", "p2p", 0, 0.25))
 	f.Add(regionEvent(2, "solve", "computation", 1, 1.75))
@@ -158,8 +158,8 @@ func TestMergePerRegionOverlongVectorErrors(t *testing.T) {
 
 func TestPhaseSummaryRoundTrip(t *testing.T) {
 	ph := Phase{FirstWindow: 2, LastWindow: 5, Start: 1, End: 3, Windows: 4, MeanID: 0.25, Label: LabelHot}
-	f := NewFold(Options{Window: 0.5, Procs: 2})
-	f.Add(regionEvent(0, "r", "a", 1, 3))
+	f := NewFold(Options{Window: 0.5})
+	f.Add(regionEvent(1, "r", "a", 1, 3))
 	sums := SummarizePhases(f.Series(), []Phase{ph})
 	if len(sums) != 1 {
 		t.Fatalf("got %d summaries", len(sums))

@@ -120,7 +120,6 @@ func benchStates(tb testing.TB) (prev, cur *DeltaState) {
 	}
 	fold := temporal.NewFold(temporal.Options{
 		Window:          1,
-		Procs:           procs,
 		TrackActivities: true,
 		PerActivity:     true,
 		PerRegion:       true,

@@ -36,7 +36,6 @@ func deltaSeries(t *testing.T, extra ...trace.Event) *temporal.Series {
 	t.Helper()
 	fold := temporal.NewFold(temporal.Options{
 		Window:          1.0,
-		Procs:           4,
 		TrackActivities: true,
 		PerActivity:     true,
 		PerRegion:       true,
@@ -209,7 +208,7 @@ func TestDeltaShapeChangeReplaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Processor count grows: series shape changes too.
-	fold := temporal.NewFold(temporal.Options{Window: 1.0, Procs: 6})
+	fold := temporal.NewFold(temporal.Options{Window: 1.0})
 	fold.Add(trace.Event{Rank: 5, Region: "io", Activity: "comm", Start: 0, End: 1.5})
 	cur := &DeltaState{Boot: 5, Gen: 11, Cube: cube, Series: fold.Series()}
 	doc, err := EncodeSnapshotDelta(base, cur)

@@ -177,7 +177,7 @@ func FuzzDeltaDecode(f *testing.F) {
 
 // NewSeedFold builds a tiny window series for fuzz seeds.
 func NewSeedFold() *temporal.Series {
-	fold := temporal.NewFold(temporal.Options{Window: 1.0, Procs: 3, PerActivity: true})
+	fold := temporal.NewFold(temporal.Options{Window: 1.0, PerActivity: true})
 	fold.Add(trace.Event{Rank: 0, Region: "solve", Activity: "comp", Start: 0, End: 2.5})
 	fold.Add(trace.Event{Rank: 2, Region: "halo", Activity: "comm", Start: 1, End: 1.75})
 	return fold.Series()
