@@ -204,17 +204,21 @@ func Diagnose(ser *temporal.Series, phases []temporal.Phase, opts Options) *Repo
 	return (*Memo)(nil).Diagnose(ser, phases, opts)
 }
 
-// Memo is Diagnose with per-phase reuse across calls: a phase whose input
-// equals the previous call's — the same Phase value at the same ordinal,
-// the same dimensions and Options, and a bit-identical fingerprint matrix
-// — takes that call's cohorts and findings instead of being clustered
-// again. The key is the input itself, so a stale result cannot be served;
-// fingerprints are cheap, the clustering is what the memo saves. Only the
-// latest call's phases are kept. A live collector owns one and diagnoses
-// every snapshot generation through it, so a generation that appended a
-// window re-clusters the phase that grew, not the whole run. The zero
-// value is ready to use; a nil Memo diagnoses statelessly. A Memo is safe
-// for concurrent use.
+// Memo is Diagnose with per-phase reuse across calls. A phase whose
+// input equals the previous call's — the same Phase value at the same
+// ordinal, the same dimensions and Options, and a bit-identical
+// fingerprint matrix — takes that call's cohorts and findings instead of
+// being clustered again. The key is the input itself, so a stale result
+// cannot be served. The fingerprint rows are reused too: a phase over the
+// same window range whose windows share their vectors (temporal.SameVectors)
+// with the windows the previous call summed for it takes that call's rows,
+// at the cost of reference compares. That key assumes what the collector's
+// fold guarantees: the window vectors of a series passed to a Memo are
+// never edited afterwards. Only the latest call's phases are kept. A live
+// collector owns one and diagnoses every snapshot generation through it,
+// so a generation that appended a window sums and re-clusters the phase
+// that grew, not the whole run. The zero value is ready to use; a nil
+// Memo diagnoses statelessly. A Memo is safe for concurrent use.
 type Memo struct {
 	mu   sync.Mutex
 	last *memoCall
@@ -225,12 +229,15 @@ type Memo struct {
 type memoCall struct {
 	dims   []Dimension
 	opts   Options
+	procs  int
 	phases []memoPhase
 }
 
-// memoPhase is one phase's input and diagnosis.
+// memoPhase is one phase's input and diagnosis. wins are the series
+// windows its fingerprint rows summed.
 type memoPhase struct {
 	phase    temporal.Phase
+	wins     []temporal.WindowVector
 	points   [][]float64
 	pd       PhaseDiagnosis
 	findings []Finding
@@ -239,40 +246,54 @@ type memoPhase struct {
 // Diagnose returns exactly what a stateless diagnosis of the same
 // arguments returns; a nil m keeps no state and reuses nothing.
 func (m *Memo) Diagnose(ser *temporal.Series, phases []temporal.Phase, opts Options) *Report {
+	return m.diagnose(ser, ser.ActivityNames(), ser.RegionNames(), phases, opts)
+}
+
+// DiagnoseTrajectory returns what Diagnose(tr.Series, phases, opts)
+// returns, taking the dimension names from the trajectory's cache instead
+// of every window's maps.
+func (m *Memo) DiagnoseTrajectory(tr *temporal.Trajectory, phases []temporal.Phase, opts Options) *Report {
+	return m.diagnose(tr.Series, tr.ActivityNames(), tr.RegionNames(), phases, opts)
+}
+
+// diagnose runs the one diagnosis body, through the memo when m is set.
+func (m *Memo) diagnose(ser *temporal.Series, acts, regs []string, phases []temporal.Phase, opts Options) *Report {
 	if m == nil {
-		rep, _ := diagnose(ser, phases, opts, nil)
+		rep, _ := diagnose(ser, acts, regs, phases, opts, nil)
 		return rep
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rep, call := diagnose(ser, phases, opts, m.last)
+	rep, call := diagnose(ser, acts, regs, phases, opts, m.last)
 	m.last = call
 	return rep
 }
 
-// diagnose is the one diagnosis body. prev is the previous call of a Memo
-// (nil for none); the returned call is this one's, for the Memo to keep.
-func diagnose(ser *temporal.Series, phases []temporal.Phase, opts Options, prev *memoCall) (*Report, *memoCall) {
+// diagnose is the one diagnosis body over ser, whose activity and region
+// names are acts and regs. prev is the previous call of a Memo (nil for
+// none); the returned call is this one's, for the Memo to keep.
+func diagnose(ser *temporal.Series, acts, regs []string, phases []temporal.Phase, opts Options, prev *memoCall) (*Report, *memoCall) {
 	rep := &Report{}
 	if ser == nil {
 		return rep, nil
 	}
 	rep.Window = ser.Window
 	rep.Procs = ser.Procs
-	rep.Dimensions = dimensions(ser)
+	rep.Dimensions = dimensions(ser, acts, regs)
 	if ser.Procs < 2 || len(phases) == 0 || len(rep.Dimensions) == 0 {
 		return rep, nil
 	}
 	// The key keeps its own copy of the labels: the caller may reuse the
 	// slice.
 	opts.RankLabels = append([]string(nil), opts.RankLabels...)
-	call := &memoCall{dims: rep.Dimensions, opts: opts, phases: make([]memoPhase, 0, len(phases))}
-	if prev != nil && !(slices.Equal(prev.dims, call.dims) && sameOptions(prev.opts, opts)) {
+	call := &memoCall{dims: rep.Dimensions, opts: opts, procs: ser.Procs, phases: make([]memoPhase, 0, len(phases))}
+	if prev != nil && !(prev.procs == call.procs && slices.Equal(prev.dims, call.dims) && sameOptions(prev.opts, opts)) {
 		prev = nil
 	}
 	// Member windows are contiguous in the series: phases partition the
-	// window sequence in order, so one cursor walks it once.
-	pos := 0
+	// window sequence in order, so one cursor walks it once, and another
+	// walks the previous call's phases for reusable rows.
+	pos, cur := 0, 0
 	for i, ph := range phases {
 		for pos < len(ser.Windows) && ser.Windows[pos].Index < ph.FirstWindow {
 			pos++
@@ -281,7 +302,13 @@ func diagnose(ser *temporal.Series, phases []temporal.Phase, opts Options, prev 
 		for pos < len(ser.Windows) && ser.Windows[pos].Index <= ph.LastWindow {
 			pos++
 		}
-		e := memoPhase{phase: ph, points: fingerprints(ser, rep.Dimensions, first, pos, ph)}
+		e := memoPhase{phase: ph, wins: ser.Windows[first:pos]}
+		if prev != nil {
+			e.points, cur = prev.rows(ph, e.wins, cur)
+		}
+		if e.points == nil {
+			e.points = fingerprints(ser, rep.Dimensions, first, pos, ph)
+		}
 		if prev != nil && i < len(prev.phases) && prev.phases[i].phase == ph && samePoints(prev.phases[i].points, e.points) {
 			e.pd, e.findings = prev.phases[i].pd, prev.phases[i].findings
 		} else {
@@ -305,6 +332,30 @@ func diagnose(ser *temporal.Series, phases []temporal.Phase, opts Options, prev 
 		return fa.Rank < fb.Rank
 	})
 	return rep, call
+}
+
+// rows returns the fingerprint rows of this call's phase over the same
+// window range and bounds as ph whose summed windows share their vectors
+// with wins, or nil when there is none. Phases come in window order, so
+// the search resumes from cursor j, and returns the cursor to resume from.
+func (c *memoCall) rows(ph temporal.Phase, wins []temporal.WindowVector, j int) ([][]float64, int) {
+	for j < len(c.phases) && c.phases[j].phase.FirstWindow < ph.FirstWindow {
+		j++
+	}
+	if j == len(c.phases) {
+		return nil, j
+	}
+	p := &c.phases[j]
+	if p.phase.FirstWindow != ph.FirstWindow || p.phase.LastWindow != ph.LastWindow ||
+		p.phase.Start != ph.Start || p.phase.End != ph.End || len(p.wins) != len(wins) {
+		return nil, j
+	}
+	for k := range wins {
+		if !temporal.SameVectors(&p.wins[k], &wins[k]) {
+			return nil, j
+		}
+	}
+	return p.points, j
 }
 
 // sameOptions reports whether two option sets are field-for-field equal.
@@ -332,14 +383,14 @@ func samePoints(a, b [][]float64) bool {
 }
 
 // dimensions derives the fingerprint coordinate list from what the
-// series tracked: activities, then regions, both sorted; the aggregate
-// busy time alone when neither was recorded.
-func dimensions(ser *temporal.Series) []Dimension {
+// series tracked: its activities, then its regions, both sorted; the
+// aggregate busy time alone when neither was recorded.
+func dimensions(ser *temporal.Series, acts, regs []string) []Dimension {
 	var dims []Dimension
-	for _, a := range ser.ActivityNames() {
+	for _, a := range acts {
 		dims = append(dims, Dimension{Name: a, Kind: KindActivity})
 	}
-	for _, r := range ser.RegionNames() {
+	for _, r := range regs {
 		dims = append(dims, Dimension{Name: r, Kind: KindRegion})
 	}
 	if dims == nil && len(ser.Windows) > 0 {

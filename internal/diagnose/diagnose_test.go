@@ -267,3 +267,61 @@ func TestMemoReusesOnlyUnchangedPhases(t *testing.T) {
 	check("labels mutated by the caller", &ser2, phases, Options{RankLabels: labels})
 	check("shifted ordinals", &ser2, phases[1:], Options{RankLabels: labels})
 }
+
+// TestMemoReusesRowsOfSharedWindows: a Memo reuses a phase's fingerprint
+// rows exactly when the phase covers the same window range and its
+// windows share their vectors with the ones the previous call summed —
+// also when the phase moved to another ordinal — and the report still
+// equals Diagnose's.
+func TestMemoReusesRowsOfSharedWindows(t *testing.T) {
+	ser, _ := stragglerSeries(t, 16, 5, 0.25)
+	// Four two-window phases, so one can move while others stay.
+	var phases []temporal.Phase
+	for k := 0; k < 4; k++ {
+		phases = append(phases, temporal.Phase{
+			FirstWindow: 2 * k, LastWindow: 2*k + 1,
+			Start: float64(2 * k), End: float64(2*k + 2), Windows: 2, Label: "hot",
+		})
+	}
+	var m Memo
+	rowsOf := func() map[int]*float64 {
+		out := make(map[int]*float64)
+		for _, p := range m.last.phases {
+			out[p.phase.FirstWindow] = &p.points[0][0]
+		}
+		return out
+	}
+	check := func(what string, ser *temporal.Series, phases []temporal.Phase) {
+		t.Helper()
+		if got, want := m.Diagnose(ser, phases, Options{}), Diagnose(ser, phases, Options{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: memo report differs from Diagnose", what)
+		}
+	}
+	check("first call", ser, phases)
+	before := rowsOf()
+
+	// Rebuild the last window with fresh (equal) vectors, as a fold does
+	// when an event lands in it: only the last phase sums again.
+	ser2 := *ser
+	ser2.Windows = append([]temporal.WindowVector(nil), ser.Windows...)
+	w := &ser2.Windows[len(ser2.Windows)-1]
+	w.ProcSeconds = append([]float64(nil), w.ProcSeconds...)
+	check("rebuilt last window", &ser2, phases)
+	after := rowsOf()
+	last := phases[len(phases)-1].FirstWindow
+	for first, p := range before {
+		if reused := after[first] == p; reused != (first != last) {
+			t.Errorf("phase at window %d: rows reused = %v", first, reused)
+		}
+	}
+
+	// Drop the first phase: the others keep their rows at new ordinals.
+	ser3 := ser2
+	ser3.Windows = ser2.Windows[phases[0].Windows:]
+	check("first phase dropped", &ser3, phases[1:])
+	for first, p := range rowsOf() {
+		if p != after[first] {
+			t.Errorf("phase at window %d summed again after an ordinal shift", first)
+		}
+	}
+}

@@ -159,6 +159,10 @@ type Federator struct {
 	gen     uint64
 	snap    *monitor.Snapshot
 	snapGen uint64
+	// mergeErr is the error of the merge that built snap, "" when it
+	// succeeded: a merge failure degrades the view without failing any
+	// scrape, so /healthz and /metrics report it from here.
+	mergeErr string
 }
 
 // New validates the options and builds a Federator. Endpoints without a
@@ -508,6 +512,7 @@ func (f *Federator) Snapshot() *monitor.Snapshot {
 	f.mu.Unlock()
 
 	snap := &monitor.Snapshot{Gen: gen, Boot: f.boot}
+	mergeErr := ""
 	if len(jobs) > 0 {
 		cube, err := trace.Federate(jobs)
 		if err != nil {
@@ -515,6 +520,7 @@ func (f *Federator) Snapshot() *monitor.Snapshot {
 			// New; federation of well-formed cubes cannot fail. Serve an
 			// empty snapshot rather than a torn one if it somehow does.
 			f.logf("federate: merging %d cubes: %v", len(jobs), err)
+			mergeErr = fmt.Sprintf("merging %d cubes: %v", len(jobs), err)
 			cube = nil
 		}
 		if cube != nil {
@@ -527,11 +533,14 @@ func (f *Federator) Snapshot() *monitor.Snapshot {
 		if haveWindows {
 			ser, err := temporal.Merge(winJobs)
 			if err != nil {
-				// Mixed window widths or an endpoint reporting busy time
-				// beyond its declared processors: the timeline view is
-				// undefined, the cube view stays correct. Degrade just the
-				// timeline.
+				// Non-commensurable window widths or an endpoint reporting
+				// busy time beyond its declared processors: the timeline
+				// view is undefined, the cube view stays correct. Degrade
+				// just the timeline, visibly.
 				f.logf("federate: merging window series: %v", err)
+				if mergeErr == "" {
+					mergeErr = fmt.Sprintf("merging window series: %v", err)
+				}
 			} else {
 				// The endpoints bound their own series, but the merged ring
 				// can still outgrow any one endpoint's cap (endpoints
@@ -559,9 +568,21 @@ func (f *Federator) Snapshot() *monitor.Snapshot {
 	if f.gen == gen {
 		f.snap = snap
 		f.snapGen = gen
+		f.mergeErr = mergeErr
 	}
 	f.mu.Unlock()
 	return snap
+}
+
+// MergeError returns the error of the merge behind the cached federated
+// snapshot, "" when it succeeded or nothing was merged yet. A failed
+// window merge (for instance of non-commensurable window widths) leaves
+// the cube view intact and drops the window series, so this is where the
+// degrade shows.
+func (f *Federator) MergeError() string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.mergeErr
 }
 
 // EndpointHealth is one endpoint's scrape state as listed by /healthz.

@@ -524,7 +524,7 @@ func TestNewBoundsDefault(t *testing.T) {
 // would turn a tab into the invalid escape \t.
 func TestFederationMetricsEscaping(t *testing.T) {
 	var buf strings.Builder
-	writeFederationMetrics(&buf, []EndpointHealth{{Name: "rack\t\"a\"\\1", Scrapes: 2}})
+	writeFederationMetrics(&buf, []EndpointHealth{{Name: "rack\t\"a\"\\1", Scrapes: 2}}, "")
 	want := MetricEndpointScrapes + "{endpoint=\"rack\t\\\"a\\\"\\\\1\"} 2\n"
 	if !strings.Contains(buf.String(), want) {
 		t.Fatalf("metrics lack %q:\n%s", want, buf.String())

@@ -20,20 +20,27 @@ const (
 	MetricEndpointConsecutive = "loadimb_fed_endpoint_consecutive_failures"
 	MetricEndpointLatency     = "loadimb_fed_endpoint_scrape_seconds"
 	MetricEndpointBytes       = "loadimb_fed_endpoint_bytes_total"
+	MetricMergeFailed         = "loadimb_fed_merge_failed"
 )
 
-// healthzPayload is the /healthz document: an overall status plus the
-// per-endpoint scrape states.
+// healthzPayload is the /healthz document: an overall status, the
+// merge error if the last merge failed, and the per-endpoint scrape
+// states.
 type healthzPayload struct {
-	// Status is "ok" while every endpoint is live, "degraded" when some
-	// (but not all) are stale or still cube-less, and "down" when no
-	// endpoint contributes to the aggregate.
-	Status    string           `json:"status"`
-	Endpoints []EndpointHealth `json:"endpoints"`
+	// Status is "ok" while every endpoint is live and the merge succeeds,
+	// "degraded" when some (but not all) endpoints are stale or still
+	// cube-less or the merge failed, and "down" when no endpoint
+	// contributes to the aggregate.
+	Status string `json:"status"`
+	// MergeError is the error of the last merge (Federator.MergeError);
+	// omitted while merges succeed.
+	MergeError string           `json:"merge_error,omitempty"`
+	Endpoints  []EndpointHealth `json:"endpoints"`
 }
 
-// status summarizes the endpoint states into the /healthz status word.
-func status(eps []EndpointHealth) string {
+// status summarizes the endpoint states and the merge error into the
+// /healthz status word.
+func status(eps []EndpointHealth, mergeErr string) string {
 	live, contributing := 0, 0
 	for _, ep := range eps {
 		if !ep.Stale {
@@ -46,7 +53,7 @@ func status(eps []EndpointHealth) string {
 	switch {
 	case contributing == 0:
 		return "down"
-	case live < len(eps) || contributing < live:
+	case live < len(eps) || contributing < live || mergeErr != "":
 		return "degraded"
 	default:
 		return "ok"
@@ -61,16 +68,22 @@ func status(eps []EndpointHealth) string {
 // the binary /delta path) to build a federation tree. Differences from
 // the collector surface:
 //
-//	/healthz   per-endpoint scrape state: last success/attempt, scrape
-//	           latency, bytes fetched, consecutive failures, staleness
-//	           (503 when no endpoint contributes)
-//	/metrics   federation scrape-state gauges ahead of the cube families
+//	/healthz   the merge error if the last merge failed, and per-endpoint
+//	           scrape state: last success/attempt, scrape latency, bytes
+//	           fetched, consecutive failures, staleness (503 when no
+//	           endpoint contributes)
+//	/metrics   federation scrape-state and merge gauges ahead of the cube
+//	           families
 //	/          plain-text index instead of the dashboard
 func Handler(f *Federator) http.Handler {
 	return serve.Mux(f,
 		serve.WithHealth(func(w http.ResponseWriter, r *http.Request) {
+			// The merge runs on demand; run it (or reuse the cached one) so
+			// the report covers the endpoints' current state.
+			f.Snapshot()
 			eps := f.Health()
-			payload := healthzPayload{Status: status(eps), Endpoints: eps}
+			mergeErr := f.MergeError()
+			payload := healthzPayload{Status: status(eps, mergeErr), MergeError: mergeErr, Endpoints: eps}
 			w.Header().Set("Content-Type", "application/json")
 			if payload.Status == "down" {
 				w.WriteHeader(http.StatusServiceUnavailable)
@@ -82,8 +95,10 @@ func Handler(f *Federator) http.Handler {
 		// The snapshot's Events/Dropped counters are zero here: scrapes
 		// carry no event counts, and the federated exposition reports
 		// scrape state through the families above instead.
+		// The /metrics handler builds the snapshot before this prefix, so
+		// the merge gauge describes the merge behind the cube families.
 		serve.WithMetricsPrefix(func(w io.Writer) {
-			writeFederationMetrics(w, f.Health())
+			writeFederationMetrics(w, f.Health(), f.MergeError())
 		}),
 		serve.WithIndex(func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -93,9 +108,9 @@ func Handler(f *Federator) http.Handler {
 	)
 }
 
-// writeFederationMetrics renders the scrape-state families in Prometheus
-// text format.
-func writeFederationMetrics(w io.Writer, eps []EndpointHealth) {
+// writeFederationMetrics renders the scrape-state and merge families in
+// Prometheus text format.
+func writeFederationMetrics(w io.Writer, eps []EndpointHealth, mergeErr string) {
 	m := monitor.NewMetricsWriter(w)
 	stale := 0
 	for _, ep := range eps {
@@ -107,6 +122,12 @@ func writeFederationMetrics(w io.Writer, eps []EndpointHealth) {
 	m.Sample(float64(len(eps)))
 	m.Family(MetricEndpointsStale, "Endpoints currently stale (excluded from the aggregate).", "gauge")
 	m.Sample(float64(stale))
+	failed := 0.0
+	if mergeErr != "" {
+		failed = 1
+	}
+	m.Family(MetricMergeFailed, "Whether the last merge of the endpoints' snapshots failed (1), degrading the federated view.", "gauge")
+	m.Sample(failed)
 	families := []struct {
 		name, help, typ string
 		value           func(EndpointHealth) float64

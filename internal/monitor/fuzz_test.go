@@ -13,8 +13,10 @@ import (
 // snapshots. Run under -race it guards the lock-free snapshot path: the
 // invariant is that after a final quiescent Snapshot the cube accounts
 // for every valid event exactly once, whatever the interleaving. Every
-// snapshot's cached trajectories, phase summaries and memoized diagnosis
-// must also equal their stateless recomputation (checkSnapshotOracles).
+// snapshot's cached trajectories, dimension names, phase summaries and
+// memoized diagnosis must also equal their stateless recomputation
+// (checkSnapshotOracles), and the LIFP delta from every earlier snapshot
+// taken must reproduce it bit for bit (checkDeltas).
 //
 // The high bits of the rank byte select a boundary shape, so the fuzzer
 // exercises the window-clipping edge cases deliberately: events snapped
@@ -83,6 +85,7 @@ func FuzzRecordSnapshot(f *testing.F) {
 			}(part)
 		}
 		snapDone := make(chan struct{})
+		var kept []*Snapshot
 		go func() {
 			defer close(snapDone)
 			for _, s := range steps {
@@ -92,6 +95,8 @@ func FuzzRecordSnapshot(f *testing.F) {
 						t.Error("valid events were dropped")
 					}
 					checkSnapshotOracles(t, snap)
+					checkDeltas(t, kept, snap)
+					kept = append(kept, snap)
 				}
 			}
 		}()
@@ -99,6 +104,7 @@ func FuzzRecordSnapshot(f *testing.F) {
 		<-snapDone
 		snap := c.Snapshot()
 		checkSnapshotOracles(t, snap)
+		checkDeltas(t, kept, snap)
 		if snap.Events != wantEvents {
 			t.Fatalf("events = %d, want %d", snap.Events, wantEvents)
 		}

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"loadimb/internal/stats"
 	"loadimb/internal/temporal"
 	"loadimb/internal/trace"
+	"loadimb/internal/tracefmt"
 )
 
 // refSummarizePhases is SummarizePhases as it was computed before the
@@ -91,8 +93,10 @@ func refSummarizePhases(ser *temporal.Series, phases []temporal.Phase) []tempora
 // checkSnapshotOracles fails if any of the snapshot's cached or memoized
 // analyses differs from its stateless recomputation: the trajectories
 // from the fold's summary cache against the series' own Stats and
-// CoarseStats, the phase summaries against refSummarizePhases, and the
-// memoized diagnosis against a fresh Diagnose.
+// CoarseStats, the cached dimension names against the series' own, the
+// phase summaries (from the cached per-activity indices) against
+// SummarizePhases and refSummarizePhases, and the memoized diagnosis
+// (with its reused fingerprint rows) against a fresh Diagnose.
 func checkSnapshotOracles(t *testing.T, snap *Snapshot) {
 	t.Helper()
 	if snap.Series == nil {
@@ -104,9 +108,18 @@ func checkSnapshotOracles(t *testing.T, snap *Snapshot) {
 	if !reflect.DeepEqual(snap.Coarse, snap.Series.CoarseStats()) {
 		t.Errorf("generation %d: coarse trajectory differs from Series.CoarseStats", snap.Gen)
 	}
+	if got, want := snap.traj.ActivityNames(), snap.Series.ActivityNames(); !reflect.DeepEqual(got, want) {
+		t.Errorf("generation %d: cached activity names %q, want %q", snap.Gen, got, want)
+	}
+	if got, want := snap.traj.RegionNames(), snap.Series.RegionNames(); !reflect.DeepEqual(got, want) {
+		t.Errorf("generation %d: cached region names %q, want %q", snap.Gen, got, want)
+	}
 	phases := make([]temporal.Phase, len(snap.Phases))
 	for i, ps := range snap.Phases {
 		phases[i] = ps.Phase()
+	}
+	if want := temporal.SummarizePhases(snap.Series, phases); !reflect.DeepEqual(snap.Phases, want) {
+		t.Errorf("generation %d: phase summaries differ from SummarizePhases:\ngot  %+v\nwant %+v", snap.Gen, snap.Phases, want)
 	}
 	if want := refSummarizePhases(snap.Series, phases); !reflect.DeepEqual(snap.Phases, want) {
 		t.Errorf("generation %d: phase summaries differ from the projection reference:\ngot  %+v\nwant %+v", snap.Gen, snap.Phases, want)
@@ -116,6 +129,61 @@ func checkSnapshotOracles(t *testing.T, snap *Snapshot) {
 	}
 }
 
+// checkDeltas fails unless, for every earlier generation in kept, the
+// LIFP delta from it to snap, applied to it, reproduces snap's cube and
+// series bit for bit: the /delta diff answers windows that share their
+// vectors without reading them, and must still find every change.
+func checkDeltas(t *testing.T, kept []*Snapshot, snap *Snapshot) {
+	t.Helper()
+	cur := &tracefmt.DeltaState{Boot: snap.Boot, Gen: snap.Gen, Cube: snap.Cube, Series: snap.Series}
+	for _, old := range kept {
+		if old.Gen >= snap.Gen {
+			continue
+		}
+		prev := &tracefmt.DeltaState{Boot: old.Boot, Gen: old.Gen, Cube: old.Cube, Series: old.Series}
+		doc, err := tracefmt.EncodeSnapshotDelta(prev, cur)
+		if err != nil {
+			t.Errorf("delta %d→%d: %v", old.Gen, snap.Gen, err)
+			continue
+		}
+		got, err := tracefmt.DecodeSnapshot(doc, prev)
+		if err != nil {
+			t.Errorf("delta %d→%d: %v", old.Gen, snap.Gen, err)
+			continue
+		}
+		if !cubeBitsEqual(got.Cube, snap.Cube) {
+			t.Errorf("delta %d→%d: applied cube differs from the snapshot's", old.Gen, snap.Gen)
+		}
+		if !reflect.DeepEqual(got.Series, snap.Series) {
+			t.Errorf("delta %d→%d: applied series differs from the snapshot's", old.Gen, snap.Gen)
+		}
+	}
+}
+
+// cubeBitsEqual reports whether two cubes have the same axes, cells and
+// program time, bit for bit.
+func cubeBitsEqual(a, b *trace.Cube) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if !reflect.DeepEqual(a.Regions(), b.Regions()) || !reflect.DeepEqual(a.Activities(), b.Activities()) ||
+		a.NumProcs() != b.NumProcs() || math.Float64bits(a.ProgramTime()) != math.Float64bits(b.ProgramTime()) {
+		return false
+	}
+	for i := 0; i < a.NumRegions(); i++ {
+		for j := 0; j < a.NumActivities(); j++ {
+			av, _ := a.ProcTimes(i, j)
+			bv, _ := b.ProcTimes(i, j)
+			for p := range av {
+				if math.Float64bits(av[p]) != math.Float64bits(bv[p]) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
 // TestSnapshotCachesMatchOracles checks every generation of a collector
 // whose small window cap shifts the ring — and with it the phase
 // ordinals — while a straggler alternates between two ranks, a new rank
@@ -123,6 +191,7 @@ func checkSnapshotOracles(t *testing.T, snap *Snapshot) {
 // sealed coarse window.
 func TestSnapshotCachesMatchOracles(t *testing.T) {
 	c := NewCollector(Options{Window: 1, WindowCap: 24})
+	var kept []*Snapshot
 	ranks := 6
 	for w := 0; w < 120; w++ {
 		if w == 60 {
@@ -147,7 +216,10 @@ func TestSnapshotCachesMatchOracles(t *testing.T) {
 				c.Record(trace.Event{Rank: 3, Region: "halo", Activity: "communication", Start: 0.96, End: 0.98})
 			}
 		}
-		checkSnapshotOracles(t, c.Snapshot())
+		snap := c.Snapshot()
+		checkSnapshotOracles(t, snap)
+		checkDeltas(t, kept, snap)
+		kept = append(kept, snap)
 	}
 	snap := c.Latest()
 	if snap.Series.CoarseWindow <= 2*snap.Series.Window {

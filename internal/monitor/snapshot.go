@@ -86,6 +86,9 @@ type Snapshot struct {
 	diagOnce sync.Once
 	diag     *diagnose.Report
 	memo     *diagnose.Memo
+	// traj is the fold trajectory Series came from, with its per-window
+	// caches; nil for snapshots built elsewhere.
+	traj *temporal.Trajectory
 }
 
 // Views holds the paper's dispersion views of one snapshot cube — exactly
@@ -157,7 +160,12 @@ func (s *Snapshot) Diagnosis() *diagnose.Report {
 		for i, ps := range s.Phases {
 			phases[i] = ps.Phase()
 		}
-		s.diag = s.memo.Diagnose(s.Series, phases, diagnose.Options{RankLabels: s.RankLabels})
+		opts := diagnose.Options{RankLabels: s.RankLabels}
+		if s.traj != nil {
+			s.diag = s.memo.DiagnoseTrajectory(s.traj, phases, opts)
+		} else {
+			s.diag = s.memo.Diagnose(s.Series, phases, opts)
+		}
 	})
 	return s.diag
 }
@@ -204,17 +212,18 @@ func (s *foldState) build(events, dropped, gen uint64) *Snapshot {
 		}
 	}
 	if s.tw != nil {
-		// The trajectories come from the fold's per-window summary cache:
-		// only the windows that changed since the last build are
-		// summarized again.
-		snap.Series, snap.Windows, snap.Coarse = s.tw.Trajectory()
+		// The trajectories, the per-activity window indices and the
+		// dimension names come from the fold's per-window cache: only the
+		// windows that changed since the last build are summarized again.
+		snap.traj = s.tw.Trajectory()
+		snap.Series, snap.Windows, snap.Coarse = snap.traj.Series, snap.traj.Ring, snap.traj.Coarse
 		if s.seg != nil {
 			// Sync rewinds the incremental segmenter only past the windows
 			// that actually changed since the last snapshot (usually just
 			// the still-growing tail), then the pruned DP extends over the
 			// new suffix.
 			s.seg.Sync(snap.Windows)
-			snap.Phases = temporal.SummarizePhases(snap.Series, s.seg.Phases())
+			snap.Phases = snap.traj.SummarizePhases(s.seg.Phases())
 		}
 	}
 	return snap

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"loadimb/internal/diagnose"
+	"loadimb/internal/majorize"
 	"loadimb/internal/monitor"
 	"loadimb/internal/temporal"
 )
@@ -172,8 +174,8 @@ func bodyOf(t *testing.T, rec *httptest.ResponseRecorder) string {
 // TestCachedEndpointsMatchWriteJSON: over several generations of a live
 // collector, the identity and gunzipped bodies of the cached endpoints
 // equal writeJSON's output for the same snapshot content, with the
-// diagnosis computed statelessly, and every new generation is
-// re-encoded.
+// diagnosis computed statelessly and /timeline.json assembled from its
+// per-window pieces, and every new generation is re-encoded.
 func TestCachedEndpointsMatchWriteJSON(t *testing.T) {
 	c := monitor.NewCollector(monitor.Options{Window: 0.5, WindowCap: 8})
 	live := NewHandler(c)
@@ -186,7 +188,7 @@ func TestCachedEndpointsMatchWriteJSON(t *testing.T) {
 			c.Record(e)
 		}
 		snap := c.Snapshot()
-		for _, path := range []string{"/timeline.json", "/phases.json", "/diagnose.json"} {
+		for _, path := range []string{"/timeline.json", "/phases.json", "/diagnose.json", "/lorenz.json"} {
 			ref := httptest.NewRecorder()
 			writeJSON(ref, httptest.NewRequest("GET", path, nil), referenceDoc(snap, c.Window(), path))
 			want := ref.Body.String()
@@ -216,6 +218,13 @@ func referenceDoc(snap *monitor.Snapshot, window float64, path string) any {
 			p.Coarse = snap.Coarse
 		}
 		return p
+	case "/lorenz.json":
+		totals := snap.ProcTotals()
+		points, err := majorize.Lorenz(totals)
+		if err != nil {
+			panic(err)
+		}
+		return lorenzPayload{Procs: len(totals), Points: points, Gini: temporal.GiniOf(totals)}
 	case "/phases.json":
 		p := phasesPayload{Window: snap.Series.Window, Phases: snap.Phases}
 		if n := len(snap.Phases); n > 0 {
@@ -240,4 +249,78 @@ func serveRec(h http.Handler, path, accept string) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec
+}
+
+// TestTimelinePiecesMatchEncodeJSON: over generations of window summaries
+// that keep, change, drop and append windows, the per-window encoding
+// cache writes exactly encodeJSON's bytes, including for nil and empty
+// lists, null indices, negative zeros, HTML-escaped names, and values
+// JSON cannot carry (no bytes at all).
+func TestTimelinePiecesMatchEncodeJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	id := func(v float64) *float64 { return &v }
+	stat := func(idx int) temporal.WindowStat {
+		ws := temporal.WindowStat{
+			Index:  idx,
+			Start:  float64(idx) * 0.5,
+			End:    float64(idx+1) * 0.5,
+			Events: rng.Intn(50),
+			Busy:   rng.Float64() * 3,
+			Gini:   rng.Float64() / 2,
+		}
+		switch rng.Intn(6) {
+		case 0: // an all-idle window: null index
+		case 1:
+			ws.ID, ws.Busy, ws.Gini = id(0), math.Copysign(0, -1), math.Copysign(0, -1)
+		case 2:
+			ws.ID, ws.Dominant = id(rng.Float64()), "<p2p & co>"
+		default:
+			ws.ID = id(rng.ExpFloat64() * 1e-7)
+		}
+		return ws
+	}
+	var pieces timelinePieces
+	var ring, coarse []temporal.WindowStat
+	for gen := 0; gen < 60; gen++ {
+		// Keep most windows (sharing the summaries), rewrite a few, drop
+		// the oldest now and then, append a new one.
+		next := make([]temporal.WindowStat, 0, len(ring)+1)
+		for i, ws := range ring {
+			switch {
+			case i == 0 && rng.Intn(4) == 0:
+				continue
+			case rng.Intn(8) == 0:
+				ws = stat(ws.Index)
+			}
+			next = append(next, ws)
+		}
+		next = append(next, stat(gen*2))
+		ring = next
+		if gen%10 == 9 {
+			coarse = append(coarse, stat(-gen))
+		}
+		p := timelinePayload{Window: 0.5, Windows: ring}
+		switch gen % 4 {
+		case 1:
+			p.Windows = nil
+		case 2:
+			p.Windows = []temporal.WindowStat{}
+		}
+		if len(coarse) > 0 && gen%3 != 0 {
+			p.CoarseWindow, p.RingStart, p.Coarse = 2, ring[0].Index, coarse
+		}
+		if gen == 57 {
+			p.Windows = append([]temporal.WindowStat(nil), ring...)
+			p.Windows[len(ring)-1].Busy = math.NaN()
+		}
+		if gen == 58 {
+			p.Window = math.Inf(1)
+		}
+		var want, got bytes.Buffer
+		encodeJSON(&want, p)
+		pieces.encode(&got, &p)
+		if got.String() != want.String() {
+			t.Fatalf("generation %d:\ngot  %s\nwant %s", gen, got.String(), want.String())
+		}
+	}
 }

@@ -46,9 +46,37 @@ func serveCached(w http.ResponseWriter, r *http.Request, snap *monitor.Snapshot)
 		return false
 	}
 	w.Header().Set("ETag", tag)
-	if r.Header.Get("If-None-Match") == tag {
+	if noneMatch(r.Header.Values("If-None-Match"), tag) {
 		w.WriteHeader(http.StatusNotModified)
 		return true
+	}
+	return false
+}
+
+// noneMatch reports whether If-None-Match field values name tag, as RFC
+// 9110 section 13.1.2 evaluates them: each field is "*" (any current
+// representation) or a comma-separated list of entity tags, compared
+// weakly, so W/"x" matches "x". A proxy that weakens the tags of what it
+// compresses, or a client listing several, still gets its 304.
+func noneMatch(fields []string, tag string) bool {
+	for _, f := range fields {
+		for f = strings.TrimLeft(f, " \t,"); f != ""; f = strings.TrimLeft(f, " \t,") {
+			if f[0] == '*' {
+				return true
+			}
+			f = strings.TrimPrefix(f, "W/")
+			if f == "" || f[0] != '"' {
+				return false // not an entity tag: the field is malformed
+			}
+			end := strings.IndexByte(f[1:], '"')
+			if end < 0 {
+				return false
+			}
+			if f[:end+2] == tag {
+				return true
+			}
+			f = f[end+2:]
+		}
 	}
 	return false
 }
@@ -130,11 +158,18 @@ type docCache struct {
 // write serves doc() for snap exactly as writeJSON would, from the cache
 // when snap is the snapshot it last encoded.
 func (c *docCache) write(w http.ResponseWriter, r *http.Request, snap *monitor.Snapshot, doc func() any) {
+	c.writeEncoded(w, r, snap, func(buf *bytes.Buffer) { encodeJSON(buf, doc()) })
+}
+
+// writeEncoded is write with the document's encoder: encode writes into
+// buf exactly what encodeJSON would write for the document. It runs under
+// the cache's lock.
+func (c *docCache) writeEncoded(w http.ResponseWriter, r *http.Request, snap *monitor.Snapshot, encode func(buf *bytes.Buffer)) {
 	gzipped := jsonHeaders(w, r)
 	c.mu.Lock()
 	if c.snap != snap {
 		var buf bytes.Buffer
-		encodeJSON(&buf, doc())
+		encode(&buf)
 		c.snap, c.body, c.gz = snap, buf.Bytes(), nil
 	}
 	body := c.body
@@ -199,6 +234,7 @@ func CubeHandler(src Source) http.HandlerFunc {
 // LorenzHandler serves the Lorenz curve and Gini coefficient of the
 // snapshot's per-processor total times.
 func LorenzHandler(src Source) http.HandlerFunc {
+	var cache docCache
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap := src.Snapshot()
 		totals := snap.ProcTotals()
@@ -211,10 +247,11 @@ func LorenzHandler(src Source) http.HandlerFunc {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		writeJSON(w, r, lorenzPayload{
-			Procs:  len(totals),
-			Points: points,
-			Gini:   temporal.GiniOf(totals),
+		if serveCached(w, r, snap) {
+			return
+		}
+		cache.write(w, r, snap, func() any {
+			return lorenzPayload{Procs: len(totals), Points: points, Gini: temporal.GiniOf(totals)}
 		})
 	}
 }
@@ -226,6 +263,7 @@ func LorenzHandler(src Source) http.HandlerFunc {
 // passes 0 and the snapshot's own series width is echoed instead.
 func TimelineHandler(src Source, window float64) http.HandlerFunc {
 	var cache docCache
+	var pieces timelinePieces
 	return func(w http.ResponseWriter, r *http.Request) {
 		snap := src.Snapshot()
 		width := window
@@ -235,7 +273,7 @@ func TimelineHandler(src Source, window float64) http.HandlerFunc {
 		if serveCached(w, r, snap) {
 			return
 		}
-		cache.write(w, r, snap, func() any {
+		cache.writeEncoded(w, r, snap, func(buf *bytes.Buffer) {
 			p := timelinePayload{
 				Window:  width,
 				Windows: snap.Windows,
@@ -245,7 +283,7 @@ func TimelineHandler(src Source, window float64) http.HandlerFunc {
 				p.RingStart = snap.Series.RingStart
 				p.Coarse = snap.Coarse
 			}
-			return p
+			pieces.encode(buf, &p)
 		})
 	}
 }

@@ -100,6 +100,15 @@ type Fold struct {
 	ringStart int
 	factor    int
 	coarse    map[int]*windowAcc
+
+	// The ring's dimension names: how many ring windows record each
+	// activity (region) vector, and the sorted names, refreshed when a
+	// name enters or leaves the ring (namesStale). They are what
+	// Series.ActivityNames and RegionNames return, kept as the ring
+	// changes instead of scanned per build.
+	actCount, regCount map[string]int
+	acts, regs         []string
+	namesStale         bool
 }
 
 // windowAcc is one window's running accumulation. built caches the
@@ -107,8 +116,9 @@ type Fold struct {
 // so an unchanged window costs a header copy per snapshot instead of a
 // vector copy — the copy-on-write that makes scrape cost proportional to
 // the windows that changed since the last snapshot, not to the retained
-// count. stat caches built's summary the same way (valid while hasStat):
-// every rebuild drops it, so it is invalidated exactly where built is.
+// count. stat and ids cache built's summaries the same way (stat valid
+// while hasStat, ids while non-nil): every rebuild drops both, so they
+// are invalidated exactly where built is.
 type windowAcc struct {
 	procSeconds []float64
 	events      int
@@ -120,6 +130,7 @@ type windowAcc struct {
 	builtProcs int
 	stat       WindowStat
 	hasStat    bool
+	ids        *windowIDs
 }
 
 // NewFold creates a fold. It panics on a non-positive window width —
@@ -129,13 +140,15 @@ func NewFold(opts Options) *Fold {
 		panic(fmt.Sprintf("temporal: window width %g must be positive", opts.Window))
 	}
 	f := &Fold{
-		window:  opts.Window,
-		track:   opts.TrackActivities,
-		perAct:  opts.PerActivity,
-		perReg:  opts.PerRegion,
-		cap:     opts.WindowCap,
-		factor:  2,
-		windows: make(map[int]*windowAcc),
+		window:   opts.Window,
+		track:    opts.TrackActivities,
+		perAct:   opts.PerActivity,
+		perReg:   opts.PerRegion,
+		cap:      opts.WindowCap,
+		factor:   2,
+		windows:  make(map[int]*windowAcc),
+		actCount: make(map[string]int),
+		regCount: make(map[string]int),
 	}
 	if len(opts.Activities) > 0 {
 		f.filter = make(map[string]bool, len(opts.Activities))
@@ -209,7 +222,10 @@ func (f *Fold) Add(e trace.Event) {
 			acc.actSeconds[e.Activity] += hi - lo
 		}
 		if acc.actProc != nil {
-			vec := acc.actProc[e.Activity]
+			vec, ok := acc.actProc[e.Activity]
+			if !ok && f.inRing(w) {
+				f.countName(f.actCount, e.Activity, 1)
+			}
 			for len(vec) <= e.Rank {
 				vec = append(vec, 0)
 			}
@@ -217,7 +233,10 @@ func (f *Fold) Add(e trace.Event) {
 			acc.actProc[e.Activity] = vec
 		}
 		if acc.regProc != nil {
-			vec := acc.regProc[e.Region]
+			vec, ok := acc.regProc[e.Region]
+			if !ok && f.inRing(w) {
+				f.countName(f.regCount, e.Region, 1)
+			}
 			for len(vec) <= e.Rank {
 				vec = append(vec, 0)
 			}
@@ -233,11 +252,29 @@ func (f *Fold) Add(e trace.Event) {
 	}
 }
 
+// inRing reports whether base window w folds into the full-resolution
+// ring rather than the coarse tail.
+func (f *Fold) inRing(w int) bool { return !f.sealed || w >= f.ringStart }
+
+// countName adds d to a ring name's window count, marking the sorted names
+// stale when the name enters or leaves the ring.
+func (f *Fold) countName(counts map[string]int, name string, d int) {
+	n := counts[name] + d
+	if n == 0 {
+		delete(counts, name)
+	} else {
+		counts[name] = n
+	}
+	if n == 0 || n == d {
+		f.namesStale = true
+	}
+}
+
 // accFor returns the mutable accumulator the base window w folds into: a
 // ring window at full resolution, or — for a late event landing below the
 // retention boundary — the coarse window covering it.
 func (f *Fold) accFor(w int) *windowAcc {
-	if f.sealed && w < f.ringStart {
+	if !f.inRing(w) {
 		acc := f.coarseAcc(floorDiv(w, f.factor))
 		acc.built = nil
 		return acc
@@ -313,8 +350,14 @@ func (f *Fold) compact() {
 		f.coarse = make(map[int]*windowAcc)
 	}
 	for _, w := range seal {
-		dst := f.coarseAcc(floorDiv(w, f.factor))
-		dst.mergeFrom(f.windows[w])
+		src := f.windows[w]
+		for name := range src.actProc {
+			f.countName(f.actCount, name, -1)
+		}
+		for name := range src.regProc {
+			f.countName(f.regCount, name, -1)
+		}
+		f.coarseAcc(floorDiv(w, f.factor)).mergeFrom(src)
 		delete(f.windows, w)
 	}
 	f.ringStart = idxs[len(idxs)-keep]
@@ -402,40 +445,48 @@ func floorDiv(a, b int) int {
 //
 // With a WindowCap set, Windows is the full-resolution ring and the
 // decimated prefix is published through the series' Coarse fields.
-func (f *Fold) Series() *Series {
-	s, _, _ := f.series(false)
-	return s
+func (f *Fold) Series() *Series { return f.series(nil) }
+
+// Trajectory returns what Series returns together with the summaries the
+// fold caches next to each built vector: the ring and coarse trajectories
+// (exactly the series' Stats and CoarseStats) and each ring window's
+// per-activity indices and dimension names. Like the vectors, only the
+// windows that changed since the last call are summarized again.
+func (f *Fold) Trajectory() *Trajectory {
+	if f.namesStale {
+		f.acts, f.regs, f.namesStale = sortedNames(f.actCount), sortedNames(f.regCount), false
+	}
+	t := &Trajectory{activities: f.acts, regions: f.regs}
+	t.Series = f.series(t)
+	return t
 }
 
-// Trajectory returns what Series returns together with the series' ring
-// and coarse trajectories — exactly its Stats and CoarseStats — from the
-// per-window summaries cached next to the built vectors: like the
-// vectors, only the windows that changed since the last call are
-// summarized again.
-func (f *Fold) Trajectory() (ser *Series, ring, coarse []WindowStat) {
-	return f.series(true)
-}
-
-// series builds the series and, when summarize is set, its trajectories.
-func (f *Fold) series(summarize bool) (*Series, []WindowStat, []WindowStat) {
+// series builds the series and, when t is non-nil, collects its cached
+// summaries into t.
+func (f *Fold) series(t *Trajectory) *Series {
+	var ring, coarse *[]WindowStat
+	var ids *[]*windowIDs
+	if t != nil {
+		ring, coarse, ids = &t.Ring, &t.Coarse, &t.ids
+	}
 	s := &Series{Window: f.window, Procs: f.procs}
-	var ring, coarse []WindowStat
-	s.Windows, ring = f.buildList(f.windows, f.window, summarize)
+	s.Windows = f.buildList(f.windows, f.window, ring, ids)
 	if f.sealed {
 		s.CoarseWindow = f.window * float64(f.factor)
 		s.RingStart = f.ringStart
-		s.Coarse, coarse = f.buildList(f.coarse, s.CoarseWindow, summarize)
+		s.Coarse = f.buildList(f.coarse, s.CoarseWindow, coarse, nil)
 	}
-	return s, ring, coarse
+	return s
 }
 
-// buildList renders one accumulator map as sorted immutable vectors —
-// and, when summarize is set, their summaries at the given width —
+// buildList renders one accumulator map as sorted immutable vectors,
 // reusing each accumulator's cached build when neither it nor the
-// processor count changed.
-func (f *Fold) buildList(accs map[int]*windowAcc, width float64, summarize bool) ([]WindowVector, []WindowStat) {
+// processor count changed. When sums (ids) is non-nil it also receives
+// each vector's cached summary at the given width (per-activity IDs),
+// computed only for the windows that lack one.
+func (f *Fold) buildList(accs map[int]*windowAcc, width float64, sums *[]WindowStat, ids *[]*windowIDs) []WindowVector {
 	if len(accs) == 0 {
-		return nil, nil
+		return nil
 	}
 	idxs := make([]int, 0, len(accs))
 	for w := range accs {
@@ -443,21 +494,29 @@ func (f *Fold) buildList(accs map[int]*windowAcc, width float64, summarize bool)
 	}
 	sort.Ints(idxs)
 	out := make([]WindowVector, 0, len(idxs))
-	var sts []WindowStat
-	if summarize {
-		sts = make([]WindowStat, 0, len(idxs))
+	if sums != nil {
+		*sums = make([]WindowStat, 0, len(idxs))
+	}
+	if ids != nil {
+		*ids = make([]*windowIDs, 0, len(idxs))
 	}
 	for _, w := range idxs {
 		acc := accs[w]
 		out = append(out, *acc.build(w, f.procs))
-		if summarize {
+		if sums != nil {
 			if !acc.hasStat {
 				acc.stat, acc.hasStat = statOf(acc.built, width), true
 			}
-			sts = append(sts, acc.stat)
+			*sums = append(*sums, acc.stat)
+		}
+		if ids != nil {
+			if acc.ids == nil {
+				acc.ids = idsOf(acc.built, f.procs, f.acts)
+			}
+			*ids = append(*ids, acc.ids)
 		}
 	}
-	return out, sts
+	return out
 }
 
 // build returns the accumulator's immutable vector at the given index,
@@ -496,7 +555,7 @@ func (a *windowAcc) build(index, procs int) *WindowVector {
 			v.PerRegion[r] = padded
 		}
 	}
-	a.built, a.builtProcs, a.hasStat = v, procs, false
+	a.built, a.builtProcs, a.hasStat, a.ids = v, procs, false, nil
 	return v
 }
 

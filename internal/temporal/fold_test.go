@@ -243,7 +243,7 @@ func FuzzFoldOracle(f *testing.F) {
 		// The same stream through a capped fold, whose compactions and
 		// coarse re-decimations move accumulators between windows: the
 		// cached trajectories must track every step.
-		capped := NewFold(Options{Window: window, WindowCap: 16, PerActivity: true, TrackActivities: true})
+		capped := NewFold(Options{Window: window, WindowCap: 16, PerActivity: true, PerRegion: true, TrackActivities: true})
 		for _, e := range events {
 			capped.Add(e)
 			checkTrajectoryCache(t, capped)
@@ -251,19 +251,32 @@ func FuzzFoldOracle(f *testing.F) {
 	})
 }
 
-// checkTrajectoryCache fails if the fold's cached trajectories differ
-// from the ones its series computes afresh.
+// checkTrajectoryCache fails if any of the fold's cached summaries
+// differs from its stateless computation over the series: the ring and
+// coarse trajectories, the dimension names, and the phase summaries built
+// from the cached per-activity indices.
 func checkTrajectoryCache(t *testing.T, f *Fold) {
 	t.Helper()
-	ser, ring, coarse := f.Trajectory()
+	tr := f.Trajectory()
+	ser := tr.Series
 	if !reflect.DeepEqual(ser, f.Series()) {
 		t.Fatal("Trajectory's series differs from Series")
 	}
-	if want := ser.Stats(); !reflect.DeepEqual(ring, want) {
-		t.Fatalf("cached ring trajectory differs from Series().Stats():\ngot  %+v\nwant %+v", ring, want)
+	if want := ser.Stats(); !reflect.DeepEqual(tr.Ring, want) {
+		t.Fatalf("cached ring trajectory differs from Series().Stats():\ngot  %+v\nwant %+v", tr.Ring, want)
 	}
-	if want := ser.CoarseStats(); !reflect.DeepEqual(coarse, want) {
-		t.Fatalf("cached coarse trajectory differs from Series().CoarseStats():\ngot  %+v\nwant %+v", coarse, want)
+	if want := ser.CoarseStats(); !reflect.DeepEqual(tr.Coarse, want) {
+		t.Fatalf("cached coarse trajectory differs from Series().CoarseStats():\ngot  %+v\nwant %+v", tr.Coarse, want)
+	}
+	if got, want := tr.ActivityNames(), ser.ActivityNames(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cached activity names %q, want %q", got, want)
+	}
+	if got, want := tr.RegionNames(), ser.RegionNames(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("cached region names %q, want %q", got, want)
+	}
+	phases := Segment(tr.Ring, 0)
+	if got, want := tr.SummarizePhases(phases), SummarizePhases(ser, phases); !reflect.DeepEqual(got, want) {
+		t.Fatalf("phase summaries from the cached indices differ from SummarizePhases:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
@@ -292,6 +305,17 @@ func TestFoldTrajectoryCache(t *testing.T) {
 		if w%11 == 10 {
 			f.Add(trace.Event{Rank: 2, Region: "halo", Activity: "compute", Start: float64(w/3) + 0.1, End: float64(w/3) + 0.9})
 			f.Add(trace.Event{Rank: 0, Region: "solve", Activity: "compute", Start: float64(w/5) + 0.5, End: float64(w/5) + 0.5})
+			checkTrajectoryCache(t, f)
+		}
+		if w >= 100 && w < 104 {
+			// Names that enter the ring here and leave it once compaction
+			// moves these windows out.
+			f.Add(trace.Event{Rank: 0, Region: "io", Activity: "read", Start: float64(w) + 0.8, End: float64(w) + 0.9})
+			checkTrajectoryCache(t, f)
+		}
+		if w == 250 {
+			// New names landing in a sealed (coarse) window: not the ring's.
+			f.Add(trace.Event{Rank: 1, Region: "restart", Activity: "replay", Start: 0.2, End: 0.4})
 			checkTrajectoryCache(t, f)
 		}
 	}

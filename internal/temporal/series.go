@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"reflect"
 	"sort"
 
 	"loadimb/internal/stats"
@@ -67,6 +68,22 @@ type WindowVector struct {
 	// (Options.PerRegion); absent otherwise. In a federated series the
 	// keys are job-namespaced ("job/region"), matching the merged cube.
 	PerRegion map[string][]float64 `json:"per_region,omitempty"`
+}
+
+// SameVectors reports whether a and b hold the same vectors by reference:
+// the same busy array and the same per-activity and per-region maps. Such
+// windows hold the same bits, so a comparison can answer without reading
+// a float. The fold never edits a built vector (it builds a new one), so
+// for its windows this also means unchanged since the vector was built.
+func SameVectors(a, b *WindowVector) bool {
+	return len(a.ProcSeconds) == len(b.ProcSeconds) &&
+		(len(a.ProcSeconds) == 0 || &a.ProcSeconds[0] == &b.ProcSeconds[0]) &&
+		sameMap(a.PerActivity, b.PerActivity) && sameMap(a.PerRegion, b.PerRegion)
+}
+
+// sameMap reports whether a and b are one map (or both nil).
+func sameMap(a, b map[string][]float64) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
 }
 
 // WindowStat summarizes one temporal window of the run: how busy each

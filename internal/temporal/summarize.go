@@ -63,16 +63,21 @@ func SummarizePhases(ser *Series, phases []Phase) []PhaseSummary {
 	if ser == nil || len(phases) == 0 {
 		return nil
 	}
-	// Per-activity window IDs and their defined-window means, shared
-	// across phases.
-	actNames := ser.ActivityNames()
-	actIDs := make([][]windowID, len(actNames))
-	actMean := make([]float64, len(actNames))
-	for k, a := range actNames {
-		actIDs[k] = activityIDs(ser, a)
+	names := ser.ActivityNames()
+	return summarizePhases(ser, phases, names, activityIDs(ser, names))
+}
+
+// summarizePhases is the one SummarizePhases body. ids[i*len(names)+k]
+// is window i's ID for activity names[k], from activityIDs or from a
+// fold's cache.
+func summarizePhases(ser *Series, phases []Phase, names []string, ids []windowID) []PhaseSummary {
+	n := len(names)
+	// The activities' defined-window mean IDs, shared across phases.
+	actMean := make([]float64, n)
+	for k := range names {
 		sum, defined := 0.0, 0
-		for _, id := range actIDs[k] {
-			if id.ok {
+		for i := range ser.Windows {
+			if id := ids[i*n+k]; id.ok {
 				sum += id.v
 				defined++
 			}
@@ -112,10 +117,10 @@ func SummarizePhases(ser *Series, phases []Phase) []PhaseSummary {
 			sum.ID = &id
 		}
 		sum.Gini = GiniOf(busy)
-		for k, a := range actNames {
+		for k, a := range names {
 			mean, defined := 0.0, 0
-			for _, id := range actIDs[k][first:pos] {
-				if id.ok {
+			for i := first; i < pos; i++ {
+				if id := ids[i*n+k]; id.ok {
 					mean += id.v
 					defined++
 				}
@@ -141,29 +146,36 @@ type windowID struct {
 	ok bool
 }
 
-// activityIDs returns, per window of ser, the ID ActivitySeries(a).Stats()
-// reports for it, without copying the projection: the activity's vector
-// zero-padded to the processor count in one reused buffer (the index's
-// mean divides by every processor, idle ones included), and undefined
-// where the activity sat the window out.
-func activityIDs(ser *Series, a string) []windowID {
-	ids := make([]windowID, len(ser.Windows))
+// activityIDs returns, per window of ser and per activity of names (the
+// summarizePhases layout), the ID ActivitySeries(a).Stats() reports for
+// it, without copying the projection: undefined where the activity sat
+// the window out.
+func activityIDs(ser *Series, names []string) []windowID {
+	ids := make([]windowID, len(ser.Windows)*len(names))
 	var pad []float64
 	for i := range ser.Windows {
-		vec, ok := ser.Windows[i].PerActivity[a]
-		if !ok {
-			continue
-		}
-		if len(vec) < ser.Procs {
-			pad = append(pad[:0], vec...)
-			for len(pad) < ser.Procs {
-				pad = append(pad, 0)
+		for k, a := range names {
+			if vec, ok := ser.Windows[i].PerActivity[a]; ok {
+				ids[i*len(names)+k] = activityID(vec, ser.Procs, &pad)
 			}
-			vec = pad
-		}
-		if id, err := stats.EuclideanFromBalance(vec); err == nil {
-			ids[i] = windowID{v: id, ok: true}
 		}
 	}
 	return ids
+}
+
+// activityID is one window's ID for one activity vector: the vector
+// zero-padded to the processor count in the reused buffer pad (the
+// index's mean divides by every processor, idle ones included).
+func activityID(vec []float64, procs int, pad *[]float64) windowID {
+	if len(vec) < procs {
+		*pad = append((*pad)[:0], vec...)
+		for len(*pad) < procs {
+			*pad = append(*pad, 0)
+		}
+		vec = *pad
+	}
+	if id, err := stats.EuclideanFromBalance(vec); err == nil {
+		return windowID{v: id, ok: true}
+	}
+	return windowID{}
 }

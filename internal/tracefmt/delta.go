@@ -456,9 +456,15 @@ func (e *deltaEnc) seriesFull(s *temporal.Series) error {
 }
 
 // windowEqual reports whether two window vectors are bit-identical.
+// Windows sharing their vectors are, without a float read: a collector's
+// unchanged windows share their built vectors from one generation to the
+// next, so only the windows its fold rebuilt are compared bit by bit.
 func windowEqual(a, b *temporal.WindowVector) bool {
 	if a.Index != b.Index || a.Events != b.Events || a.Dominant != b.Dominant {
 		return false
+	}
+	if temporal.SameVectors(a, b) {
+		return true
 	}
 	if !vecEqual(a.ProcSeconds, b.ProcSeconds) {
 		return false

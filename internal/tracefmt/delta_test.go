@@ -197,6 +197,43 @@ func TestDeltaPatchUnchanged(t *testing.T) {
 	statesEqual(t, cur, got)
 }
 
+// TestDeltaSharedBusyChangedDimension: a window whose busy array is
+// shared with the base but whose per-activity or per-region map is a new
+// one is not answered as unchanged by reference: its maps are compared
+// and the change ships.
+func TestDeltaSharedBusyChangedDimension(t *testing.T) {
+	base := &DeltaState{Boot: 5, Gen: 10, Cube: deltaCube(t), Series: deltaSeries(t)}
+	for _, dim := range []string{"activity", "region"} {
+		ser := *base.Series
+		ser.Windows = append([]temporal.WindowVector(nil), ser.Windows...)
+		w := &ser.Windows[0]
+		moved := make(map[string][]float64)
+		src := w.PerActivity
+		if dim == "region" {
+			src = w.PerRegion
+		}
+		for k, v := range src {
+			moved[k] = append([]float64(nil), v...)
+			moved[k][0] += 0.125
+		}
+		if dim == "region" {
+			w.PerRegion = moved
+		} else {
+			w.PerActivity = moved
+		}
+		cur := &DeltaState{Boot: 5, Gen: 11, Cube: base.Cube, Series: &ser}
+		doc, err := EncodeSnapshotDelta(base, cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeSnapshot(doc, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		statesEqual(t, cur, got)
+	}
+}
+
 func TestDeltaShapeChangeReplaces(t *testing.T) {
 	base := &DeltaState{Boot: 5, Gen: 10, Cube: deltaCube(t), Series: deltaSeries(t)}
 	// New region appears: cube shape changes, patch impossible.
