@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -508,5 +509,48 @@ func TestCollectorWindowCapDefault(t *testing.T) {
 			t.Errorf("WindowCap %d: ring holds %d windows, coarse width %g; want at most %d and a decimated tail",
 				winCap, n, ser.CoarseWindow, temporal.DefaultWindowCap)
 		}
+	}
+}
+
+// TestFoldSparseDimensions: a window's state is proportional to the
+// dimensions that window touched, not to every name the collector has
+// seen. Window 0 records 4,096 region names, then 1,000 windows record
+// one event each of the last name. A per-window layout spanning every
+// region would add about 94 MiB here; the bound is 32 MiB.
+func TestFoldSparseDimensions(t *testing.T) {
+	const (
+		regions = 4096
+		windows = 1000
+	)
+	names := make([]string, regions)
+	for i := range names {
+		names[i] = "region " + strconv.Itoa(i)
+	}
+	last := names[regions-1]
+	c := NewCollector(Options{Window: 1})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, r := range names {
+		c.Record(trace.Event{Rank: 0, Region: r, Activity: "computation", Start: 0.1, End: 0.2})
+	}
+	for w := 1; w <= windows; w++ {
+		s := float64(w) + 0.1
+		c.Record(trace.Event{Rank: 0, Region: last, Activity: "computation", Start: s, End: s + 0.5})
+	}
+	snap := c.Snapshot()
+	runtime.ReadMemStats(&after)
+	if n := len(snap.Series.Windows); n != windows+1 {
+		t.Fatalf("series holds %d windows, want %d", n, windows+1)
+	}
+	if n := len(snap.Series.Windows[0].PerRegion); n != regions {
+		t.Fatalf("window 0 holds %d region vectors, want %d", n, regions)
+	}
+	if n := len(snap.Series.Windows[windows].PerRegion); n != 1 {
+		t.Fatalf("window %d holds %d region vectors, want 1", windows, n)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 32<<20 {
+		t.Fatalf("recording and snapshotting allocated %.1f MiB, want < 32 MiB", float64(grew)/(1<<20))
+	} else {
+		t.Logf("allocated %.1f MiB", float64(grew)/(1<<20))
 	}
 }
