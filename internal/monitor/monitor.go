@@ -327,11 +327,13 @@ func (c *Collector) foldPending() int {
 // foldState is the running aggregation the snapshots are built from. It
 // is only touched under Collector.foldMu.
 type foldState struct {
-	regions    []string
-	activities []string
-	rIdx, aIdx map[string]int
-	procs      int
-	span       float64
+	// regions and activities intern the cube's dimension names: an
+	// event's names resolve to the cube indices (i, j) it folds into,
+	// which the window fold takes as they are. Indices never move once
+	// assigned.
+	regions, activities temporal.Names
+	procs               int
+	span                float64
 	// folded is the number of events folded so far: exactly the events
 	// the running totals (and therefore every published cube) account
 	// for, unlike Collector.events which racing recorders may bump
@@ -354,22 +356,9 @@ type foldState struct {
 	// window instead of a full segmentation per scrape. nil when
 	// windowing is disabled.
 	seg *temporal.StreamSegmenter
-
-	// lastRegion/lastActivity memoize the previous event's names and cube
-	// indices: event streams repeat names in long runs, so the per-event
-	// cost of the fold drops to a string comparison instead of two map
-	// lookups. Indices never move once assigned, so the memo cannot go
-	// stale. The empty string never matches — malformed events (empty
-	// names) are rejected before the fold.
-	lastRegion   string
-	lastRegionI  int
-	lastActivity string
-	lastActJ     int
 }
 
 func (s *foldState) init(regions, activities []string) {
-	s.rIdx = make(map[string]int)
-	s.aIdx = make(map[string]int)
 	for _, r := range regions {
 		s.regionIndex(r)
 	}
@@ -379,28 +368,22 @@ func (s *foldState) init(regions, activities []string) {
 }
 
 func (s *foldState) regionIndex(name string) int {
-	if i, ok := s.rIdx[name]; ok {
-		return i
+	i, added := s.regions.Index(name)
+	if added {
+		n := len(s.activities.List())
+		s.totals = append(s.totals, make([][]float64, n))
+		s.durs = append(s.durs, make([]stats.Accumulator, n))
 	}
-	i := len(s.regions)
-	s.rIdx[name] = i
-	s.regions = append(s.regions, name)
-	row := make([][]float64, len(s.activities))
-	s.totals = append(s.totals, row)
-	s.durs = append(s.durs, make([]stats.Accumulator, len(s.activities)))
 	return i
 }
 
 func (s *foldState) activityIndex(name string) int {
-	if j, ok := s.aIdx[name]; ok {
-		return j
-	}
-	j := len(s.activities)
-	s.aIdx[name] = j
-	s.activities = append(s.activities, name)
-	for i := range s.totals {
-		s.totals[i] = append(s.totals[i], nil)
-		s.durs[i] = append(s.durs[i], stats.Accumulator{})
+	j, added := s.activities.Index(name)
+	if added {
+		for i := range s.totals {
+			s.totals[i] = append(s.totals[i], nil)
+			s.durs[i] = append(s.durs[i], stats.Accumulator{})
+		}
 	}
 	return j
 }
@@ -409,15 +392,7 @@ func (s *foldState) activityIndex(name string) int {
 // rejected malformed events, so e has a nonnegative rank and start and a
 // nonnegative duration.
 func (s *foldState) fold(e trace.Event) {
-	if e.Region != s.lastRegion {
-		s.lastRegionI = s.regionIndex(e.Region)
-		s.lastRegion = e.Region
-	}
-	if e.Activity != s.lastActivity {
-		s.lastActJ = s.activityIndex(e.Activity)
-		s.lastActivity = e.Activity
-	}
-	i, j := s.lastRegionI, s.lastActJ
+	i, j := s.regionIndex(e.Region), s.activityIndex(e.Activity)
 	s.folded++
 	if e.Rank >= s.procs {
 		s.procs = e.Rank + 1
@@ -432,6 +407,6 @@ func (s *foldState) fold(e trace.Event) {
 	s.totals[i][j][e.Rank] += d
 	s.durs[i][j].Add(d)
 	if s.tw != nil {
-		s.tw.Add(e)
+		s.tw.AddIndexed(e, i, j)
 	}
 }

@@ -178,8 +178,8 @@ type WindowStat = temporal.WindowStat
 // build assembles an immutable snapshot from the current fold state.
 func (s *foldState) build(events, dropped, gen uint64) *Snapshot {
 	snap := &Snapshot{Events: events, Dropped: dropped, Span: s.span, Gen: gen}
-	if len(s.regions) > 0 && len(s.activities) > 0 && s.procs > 0 {
-		cube, err := trace.NewCube(s.regions, s.activities, s.procs)
+	if regions, activities := s.regions.List(), s.activities.List(); len(regions) > 0 && len(activities) > 0 && s.procs > 0 {
+		cube, err := trace.NewCube(regions, activities, s.procs)
 		if err != nil {
 			// Names were deduplicated by the index maps and dims
 			// checked above; construction cannot fail.

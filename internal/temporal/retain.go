@@ -123,6 +123,27 @@ func addVector(dst *WindowVector, src *WindowVector) {
 	dst.PerRegion = mergeVecMap(dst.PerRegion, src.PerRegion)
 }
 
+// mergeVecMap sums src's per-dimension vectors into dst elementwise.
+func mergeVecMap(dst, src map[string][]float64) map[string][]float64 {
+	if len(src) == 0 {
+		return dst
+	}
+	if dst == nil {
+		dst = make(map[string][]float64, len(src))
+	}
+	for k, vec := range src {
+		d := dst[k]
+		for len(d) < len(vec) {
+			d = append(d, 0)
+		}
+		for p, t := range vec {
+			d[p] += t
+		}
+		dst[k] = d
+	}
+	return dst
+}
+
 // sortedVecIdxs returns the map's window indices in ascending order, so
 // every decimation pass accumulates in deterministic order.
 func sortedVecIdxs(m map[int]*WindowVector) []int {

@@ -264,6 +264,8 @@ func EncodeSnapshotFull(cur *DeltaState) ([]byte, error) {
 // sections whose shape changed are re-encoded whole. Both states must
 // come from the same publisher incarnation (equal Boot); the caller is
 // expected to serve a full document instead when the boot nonce moved.
+// Each state's window series must list its windows in ascending index
+// order without repeats, as a fold's series and temporal.Merge output do.
 func EncodeSnapshotDelta(prev, cur *DeltaState) ([]byte, error) {
 	if prev == nil || cur == nil {
 		return nil, errors.New("tracefmt: nil snapshot state")
@@ -512,26 +514,30 @@ func (e *deltaEnc) seriesDelta(prev, cur *temporal.Series) error {
 		e.byte(deltaOpReplace)
 		return e.seriesFull(cur)
 	}
-	oldByIdx := make(map[int]*temporal.WindowVector, len(prev.Windows))
-	for i := range prev.Windows {
-		oldByIdx[prev.Windows[i].Index] = &prev.Windows[i]
-	}
+	// Both window lists ascend with distinct indices, so one merge walk
+	// pairs each current window with its previous version and collects
+	// the removed indices in order.
 	var changed []temporal.WindowVector
-	curIdx := make(map[int]bool, len(cur.Windows))
+	var removed []int
+	old := prev.Windows
 	for i := range cur.Windows {
 		v := &cur.Windows[i]
-		curIdx[v.Index] = true
-		if old, ok := oldByIdx[v.Index]; !ok || !windowEqual(old, v) {
-			changed = append(changed, *v)
+		for len(old) > 0 && old[0].Index < v.Index {
+			removed = append(removed, old[0].Index)
+			old = old[1:]
 		}
-	}
-	var removed []int
-	for i := range prev.Windows {
-		if !curIdx[prev.Windows[i].Index] {
-			removed = append(removed, prev.Windows[i].Index)
+		if len(old) > 0 && old[0].Index == v.Index {
+			if !windowEqual(&old[0], v) {
+				changed = append(changed, *v)
+			}
+			old = old[1:]
+			continue
 		}
+		changed = append(changed, *v)
 	}
-	sort.Ints(removed)
+	for i := range old {
+		removed = append(removed, old[i].Index)
+	}
 	coarseChanged := math.Float64bits(prev.CoarseWindow) != math.Float64bits(cur.CoarseWindow) ||
 		len(prev.Coarse) != len(cur.Coarse)
 	if !coarseChanged {
