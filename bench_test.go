@@ -738,8 +738,7 @@ func longRunEvent(w int) trace.Event {
 
 // longRunCollector returns a collector n windows into the looping run.
 // It snapshots every 10,000 windows the way a scraper would, so
-// retention and the streaming segmenter are in steady state when
-// measurement starts.
+// retention is in steady state when measurement starts.
 func longRunCollector(n int) *monitor.Collector {
 	col := monitor.NewCollector(monitor.Options{Window: longRunWindow})
 	for w := 0; w < n; w++ {
@@ -884,52 +883,46 @@ func BenchmarkTemporalPhases(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamSegment measures the live monitor's incremental phase
-// detection: one iteration is one appended window, with the segmentation
-// queried every 64 windows (a scrape interval's worth). The fixed-penalty
-// variant is the amortized-constant hot path; the automatic-penalty
-// variant re-derives the penalty per query and re-runs the pruned DP when
-// it moves, so it bounds the cost of the default configuration.
-func BenchmarkStreamSegment(b *testing.B) {
-	// A phase-structured trajectory with ripple: alternating quiet and hot
-	// levels every 128 windows, the shape the collector feeds the
-	// segmenter on a long-running workload.
-	const windows = 2048
-	traj := make([]temporal.WindowStat, windows)
-	for i := range traj {
-		level := 0.1
-		if (i/128)%2 == 1 {
-			level = 0.5
+// BenchmarkSegment measures one snapshot generation's phase detection:
+// the collector segments its whole ring at every generation, so one
+// iteration segments a full 4,096-window ring. "phased-auto" alternates
+// quiet and hot levels every 128 windows under the automatic penalty;
+// "flat-auto" is steady work with ripple and no change point, where
+// PELT prunes nothing and the pass is quadratic; "pinned" is the phased
+// trajectory at an explicit -phase-penalty.
+func BenchmarkSegment(b *testing.B) {
+	ring := func(hot float64) []temporal.WindowStat {
+		traj := make([]temporal.WindowStat, temporal.DefaultWindowCap)
+		for i := range traj {
+			id := 0.1 + 0.004*float64(i%7)
+			if (i/128)%2 == 1 {
+				id += hot
+			}
+			traj[i] = temporal.WindowStat{Index: i, Start: float64(i), End: float64(i + 1),
+				Events: 1, Busy: 1, ID: &id}
 		}
-		id := level + 0.004*float64(i%7)
-		traj[i] = temporal.WindowStat{Index: i, Start: float64(i), End: float64(i + 1),
-			Events: 1, Busy: 1, ID: &id}
+		return traj
 	}
-	seg := temporal.NewStreamSegmenter(0)
-	for _, ws := range traj {
-		seg.Append(ws)
-	}
-	dumpOnce(b, "Streaming segmentation (live monitor hot path)",
-		fmt.Sprintf("%d windows -> %d phases (auto penalty)\n", windows, len(seg.Phases())))
-	for _, bc := range []struct {
+	phased, flat := ring(0.4), ring(0)
+	cases := []struct {
 		name    string
+		traj    []temporal.WindowStat
 		penalty float64
 	}{
-		{"append-fixed", 0.05},
-		{"append-auto", 0},
-	} {
+		{"phased-auto", phased, 0},
+		{"flat-auto", flat, 0},
+		{"pinned", phased, 0.05},
+	}
+	out := ""
+	for _, bc := range cases {
+		out += fmt.Sprintf("%s: %d windows -> %d phases\n", bc.name, len(bc.traj), len(temporal.Segment(bc.traj, bc.penalty)))
+	}
+	dumpOnce(b, "Phase segmentation (one snapshot generation)", out)
+	for _, bc := range cases {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			seg := temporal.NewStreamSegmenter(bc.penalty)
-			fed := 0
 			for i := 0; i < b.N; i++ {
-				if fed == windows {
-					seg = temporal.NewStreamSegmenter(bc.penalty)
-					fed = 0
-				}
-				seg.Append(traj[fed])
-				fed++
-				if fed%64 == 0 && len(seg.Phases()) == 0 {
+				if len(temporal.Segment(bc.traj, bc.penalty)) == 0 {
 					b.Fatal("no phases on a non-empty trajectory")
 				}
 			}

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -97,6 +98,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *diag && *window <= 0 {
 		return fmt.Errorf("-diagnose needs -window <dt> to define the fingerprint windows")
+	}
+	if math.IsNaN(*penalty) || math.IsInf(*penalty, 0) {
+		return fmt.Errorf("-penalty %g is not finite (0 = automatic)", *penalty)
 	}
 
 	var lg *trace.Log

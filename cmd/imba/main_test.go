@@ -299,6 +299,13 @@ func TestRunTemporalPhases(t *testing.T) {
 	if err := run([]string{"-events", path, "-per-activity"}, &sb); err == nil {
 		t.Error("-per-activity without -window should fail")
 	}
+	// NaN and +Inf would make every segmentation one phase, -Inf would
+	// silently mean automatic.
+	for _, p := range []string{"NaN", "+Inf", "-Inf"} {
+		if err := run([]string{"-events", path, "-window", "1", "-phases", "-penalty", p}, &sb); err == nil {
+			t.Errorf("-penalty %s accepted", p)
+		}
+	}
 }
 
 func TestRunDiagnose(t *testing.T) {

@@ -152,6 +152,9 @@ func parseArgs(args []string) (*daemon, error) {
 	if d.windowCap < 0 {
 		return nil, fmt.Errorf("-window-cap %d is negative: the window cap cannot be disabled", d.windowCap)
 	}
+	if math.IsNaN(d.penalty) || math.IsInf(d.penalty, 0) {
+		return nil, fmt.Errorf("-phase-penalty %g is not finite (<= 0 = automatic)", d.penalty)
+	}
 	switch d.workload {
 	case "cfd", "masterworker", "wavefront", "amr":
 	case "none":

@@ -106,6 +106,13 @@ func TestParseArgs(t *testing.T) {
 	if _, err := parseArgs([]string{"-window-cap", "-1"}); err == nil {
 		t.Error("negative -window-cap accepted: the window cap cannot be disabled")
 	}
+	// A NaN or +Inf penalty would make every live segmentation one
+	// phase, and -Inf would silently mean automatic.
+	for _, p := range []string{"NaN", "+Inf", "-Inf"} {
+		if _, err := parseArgs([]string{"-phase-penalty", p}); err == nil {
+			t.Errorf("-phase-penalty %s accepted", p)
+		}
+	}
 	if _, err := parseArgs([]string{"-window", "0", "-window-cap", "0"}); err != nil {
 		t.Errorf("-window 0 -window-cap 0 (windowing off, default cap) rejected: %v", err)
 	}

@@ -21,10 +21,10 @@
 //	traceview -events run.liwp -timeline -window 0.5 -phases
 //	traceview -events run.liwp -timeline -window 0.5 -phase 2
 //
-// -stream additionally replays the trajectory through the streaming
-// segmenter the live monitor runs (querying it after every window, as a
-// scrape would) and reports when each boundary of the final segmentation
-// was first flagged — the online detection latency:
+// -stream additionally replays the trajectory window by window,
+// segmenting every prefix as the live monitor segments its ring at each
+// scrape, and reports when each boundary of the final segmentation was
+// first flagged — the online detection latency:
 //
 //	traceview -events run.liwp -timeline -window 0.5 -phases -stream
 package main
@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 
 	"loadimb/internal/pattern"
@@ -68,11 +69,14 @@ func run(args []string, stdout io.Writer) error {
 		window     = fs.Float64("window", 0, "temporal window width for phase segmentation, seconds")
 		doPhases   = fs.Bool("phases", false, "mark phase boundaries on the timeline and list the phases (requires -window)")
 		phaseZoom  = fs.Int("phase", 0, "zoom the timeline into phase N (1-based; requires -window)")
-		doStream   = fs.Bool("stream", false, "replay the trajectory through the streaming segmenter and report detection latencies (requires -window)")
+		doStream   = fs.Bool("stream", false, "segment every prefix of the trajectory, as live scrapes would, and report detection latencies (requires -window)")
 		penalty    = fs.Float64("penalty", 0, "change-point penalty for the segmentation (0 = automatic)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if math.IsNaN(*penalty) || math.IsInf(*penalty, 0) {
+		return fmt.Errorf("-penalty %g is not finite (0 = automatic)", *penalty)
 	}
 
 	if *doTimeline {
@@ -156,37 +160,34 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// streamReport replays the trajectory through the streaming segmenter
-// the live monitor runs, querying after every window exactly as a
-// scrape would, and reports when each boundary of the final
-// segmentation was first flagged. A boundary's latency is how many
-// windows beyond it had to arrive before the online optimum committed
-// to it — the cost of monitoring live instead of post-mortem.
+// streamReport replays the trajectory window by window, segmenting
+// every prefix exactly as the live monitor segments its ring at each
+// scrape, and reports when each boundary of the final segmentation was
+// first flagged. A boundary's latency is how many windows beyond it had
+// to arrive before the online optimum committed to it — the cost of
+// monitoring live instead of post-mortem.
 func streamReport(w io.Writer, traj []temporal.WindowStat, penalty float64) {
-	seg := temporal.NewStreamSegmenter(penalty)
 	firstSeen := map[int]int{} // boundary position -> windows fed when first flagged
-	for i, ws := range traj {
-		seg.Append(ws)
-		bounds := seg.Boundaries()
-		for _, b := range bounds[:len(bounds)-1] {
-			if _, ok := firstSeen[b]; !ok {
-				firstSeen[b] = i + 1
+	var bounds []int           // interior boundary positions of the latest prefix
+	for i := range traj {
+		phs := temporal.Segment(traj[:i+1], penalty)
+		bounds = bounds[:0]
+		pos := 0
+		for _, ph := range phs[:len(phs)-1] {
+			pos += ph.Windows
+			bounds = append(bounds, pos)
+			if _, ok := firstSeen[pos]; !ok {
+				firstSeen[pos] = i + 1
 			}
 		}
 	}
 	fmt.Fprintln(w, "streaming detection (live segmenter replay, queried after every window):")
-	final := seg.Boundaries()
-	if len(final) <= 1 {
+	if len(bounds) == 0 {
 		fmt.Fprintln(w, "  no phase boundaries detected")
 		return
 	}
-	for _, b := range final[:len(final)-1] {
-		fed, ok := firstSeen[b]
-		if !ok {
-			// Committed only once the trajectory was complete (e.g. the
-			// automatic penalty settled late).
-			fed = len(traj)
-		}
+	for _, b := range bounds {
+		fed := firstSeen[b]
 		fmt.Fprintf(w, "  boundary at window %d (t=%.3f s): first flagged after window %d (latency %d windows)\n",
 			b, traj[b].Start, fed-1, fed-b)
 	}

@@ -143,12 +143,8 @@ func TestRunTimelinePhases(t *testing.T) {
 	if err := run([]string{"-timeline", "-events", path, "-width", "16", "-window", "1", "-stream"}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	out = sb.String()
-	if !strings.Contains(out, "streaming detection") ||
-		!strings.Contains(out, "boundary at window 4 (t=4.000 s)") ||
-		!strings.Contains(out, "latency") {
-		t.Errorf("stream replay report missing:\n%s", out)
-	}
+	checkStreamReport(t, sb.String(), streamHeader+
+		"  boundary at window 4 (t=4.000 s): first flagged after window 4 (latency 1 windows)\n")
 
 	// Flag validation.
 	if err := run([]string{"-timeline", "-events", path, "-phases"}, &sb); err == nil {
@@ -160,4 +156,62 @@ func TestRunTimelinePhases(t *testing.T) {
 	if err := run([]string{"-timeline", "-events", path, "-window", "1", "-phase", "9"}, &sb); err == nil {
 		t.Error("out-of-range -phase should fail")
 	}
+	// NaN and +Inf would make every segmentation one phase, -Inf would
+	// silently mean automatic.
+	for _, p := range []string{"NaN", "+Inf", "-Inf"} {
+		if err := run([]string{"-timeline", "-events", path, "-window", "1", "-phases", "-penalty", p}, &sb); err == nil {
+			t.Errorf("-penalty %s accepted", p)
+		}
+	}
+}
+
+const streamHeader = "streaming detection (live segmenter replay, queried after every window):\n"
+
+// checkStreamReport compares the whole streaming-detection block, which
+// ends the -stream output, with want.
+func checkStreamReport(t *testing.T, out, want string) {
+	t.Helper()
+	i := strings.Index(out, streamHeader)
+	if i < 0 {
+		t.Fatalf("stream replay report missing:\n%s", out)
+	}
+	if got := out[i:]; got != want {
+		t.Errorf("stream replay report:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestRunStreamLatencies pins the -stream report of a five-phase run:
+// rank 0 is hot in windows 10-17 and rank 3 in windows 26-32, over a
+// rippling balanced load. Every prefix is segmented as a scrape would;
+// the last boundary needs one window beyond its first before the
+// optimum commits to it.
+func TestRunStreamLatencies(t *testing.T) {
+	var l trace.Log
+	for w := 0; w < 40; w++ {
+		for r := 0; r < 4; r++ {
+			d := 0.5 + 0.03*float64((w*7+r*3)%5)
+			switch {
+			case w >= 10 && w < 18 && r == 0:
+				d += 0.4
+			case w >= 26 && w < 33 && r == 3:
+				d += 0.2
+			}
+			if err := l.Append(trace.Event{Rank: r, Region: "loop", Activity: "comp", Start: float64(w), End: float64(w) + d}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	path := filepath.Join(t.TempDir(), "ev.liwp")
+	if err := tracefmt.SaveEvents(path, &l); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := run([]string{"-timeline", "-events", path, "-width", "40", "-window", "1", "-stream"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	checkStreamReport(t, sb.String(), streamHeader+
+		"  boundary at window 10 (t=10.000 s): first flagged after window 10 (latency 1 windows)\n"+
+		"  boundary at window 18 (t=18.000 s): first flagged after window 18 (latency 1 windows)\n"+
+		"  boundary at window 26 (t=26.000 s): first flagged after window 26 (latency 1 windows)\n"+
+		"  boundary at window 33 (t=33.000 s): first flagged after window 34 (latency 2 windows)\n")
 }

@@ -551,12 +551,9 @@ func (f *Federator) Snapshot() *monitor.Snapshot {
 				snap.Windows = ser.Stats()
 				snap.Coarse = ser.CoarseStats()
 				snap.RankLabels = rankLabels
-				// Federated phase detection runs the offline segmentation on
-				// the merged trajectory: Snapshot() may run concurrently, so
-				// the stateless Segment beats sharing an incremental
-				// segmenter here, and the merged series is rebuilt per poll
-				// anyway. The automatic penalty matches what each endpoint's
-				// own /phases.json uses.
+				// Federated phase detection segments the merged trajectory
+				// with the automatic penalty each endpoint's own
+				// /phases.json uses by default.
 				snap.Phases = temporal.SummarizePhases(ser, temporal.Segment(snap.Windows, 0))
 			}
 		}

@@ -25,8 +25,8 @@ type phasesDoc struct {
 // property to phase detection: the phases the federator serves over the
 // merged window series must equal what one live collector folding every
 // event (ranks offset per job) detects — the merge preserves busy
-// vectors bit for bit, and the streaming segmenter equals the offline
-// one, so the whole chain is exact.
+// vectors bit for bit, and both sides segment with temporal.Segment, so
+// the whole chain is exact.
 func TestFederatedPhasesAgreeWithLivePath(t *testing.T) {
 	const window = 0.5
 	jobs := []jobSpec{

@@ -512,6 +512,64 @@ func TestCollectorWindowCapDefault(t *testing.T) {
 	}
 }
 
+// TestCollectorPhasePenalty: Options.PhasePenalty is the penalty each
+// snapshot segments with. A level shift splits under the automatic
+// penalty and stays one phase under a huge one.
+func TestCollectorPhasePenalty(t *testing.T) {
+	for _, tc := range []struct {
+		penalty float64
+		phases  int
+	}{{0, 2}, {1e6, 1}} {
+		c := NewCollector(Options{Window: 1, PhasePenalty: tc.penalty})
+		for w := 0; w < 20; w++ {
+			s, d := float64(w), 0.5
+			if w >= 10 {
+				d = 0.9
+			}
+			c.Record(trace.Event{Rank: 0, Region: "r", Activity: "a", Start: s, End: s + d})
+			c.Record(trace.Event{Rank: 1, Region: "r", Activity: "a", Start: s, End: s + 0.5})
+		}
+		if n := len(c.Snapshot().Phases); n != tc.phases {
+			t.Errorf("PhasePenalty %g: %d phases, want %d", tc.penalty, n, tc.phases)
+		}
+	}
+}
+
+// TestPhaseFreeRingHeap: a steady run gives a trajectory with no change
+// point, on which PELT prunes no candidate. Segmenting the full ring
+// must not keep per-step candidate history: with 8 ranks and a full
+// 4,096-window ring, the collector and its snapshot keep about 7 MiB,
+// where a history of every step's candidates kept over 64 MiB more.
+func TestPhaseFreeRingHeap(t *testing.T) {
+	const ranks = 8
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := NewCollector(Options{Window: 1})
+	for w := 0; w < temporal.DefaultWindowCap; w++ {
+		s := float64(w)
+		for r := 0; r < ranks; r++ {
+			c.Record(trace.Event{Rank: r, Region: "loop", Activity: "computation", Start: s, End: s + 0.5})
+		}
+	}
+	snap := c.Snapshot()
+	if n := len(snap.Windows); n != temporal.DefaultWindowCap {
+		t.Fatalf("ring holds %d windows, want %d", n, temporal.DefaultWindowCap)
+	}
+	if n := len(snap.Phases); n != 1 {
+		t.Fatalf("%d phases on steady work, want 1", n)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(snap)
+	if kept := int64(after.HeapInuse) - int64(before.HeapInuse); kept >= 24<<20 {
+		t.Fatalf("collector and snapshot keep %.1f MiB of heap, want < 24 MiB", float64(kept)/(1<<20))
+	} else {
+		t.Logf("collector and snapshot keep %.1f MiB of heap", float64(kept)/(1<<20))
+	}
+}
+
 // TestFoldSparseDimensions: a window's state is proportional to the
 // dimensions that window touched, not to every name the collector has
 // seen. Window 0 records 4,096 region names, then 1,000 windows record

@@ -58,7 +58,7 @@ type Options struct {
 	// aggregation using the same orders. Names not listed are appended
 	// in order of first appearance.
 	Regions, Activities []string
-	// PhasePenalty is the change-point penalty of the streaming phase
+	// PhasePenalty is the change-point penalty of the live phase
 	// detection run over the window trajectory (served at /phases.json);
 	// <= 0 selects the automatic default, matching what an offline
 	// `imba -phases` finds on the same trace. Phase detection is only
@@ -155,7 +155,7 @@ func NewCollector(opts Options) *Collector {
 			PerRegion:   true,
 			WindowCap:   winCap,
 		})
-		c.state.seg = temporal.NewStreamSegmenter(opts.PhasePenalty)
+		c.state.penalty = opts.PhasePenalty
 	}
 	return c
 }
@@ -349,13 +349,9 @@ type foldState struct {
 	// per-rank busy times (internal/temporal owns the clipping
 	// semantics); nil when windowing is disabled.
 	tw *temporal.Fold
-	// seg maintains the PELT phase optimum incrementally across
-	// snapshots: each build syncs it with the fresh trajectory (the
-	// still-growing tail window rewinds, the settled prefix's DP state is
-	// reused) so live phase detection costs amortized-constant work per
-	// window instead of a full segmentation per scrape. nil when
-	// windowing is disabled.
-	seg *temporal.StreamSegmenter
+	// penalty is the change-point penalty each build segments the ring
+	// trajectory with (<= 0 automatic).
+	penalty float64
 }
 
 func (s *foldState) init(regions, activities []string) {

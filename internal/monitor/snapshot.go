@@ -217,14 +217,7 @@ func (s *foldState) build(events, dropped, gen uint64) *Snapshot {
 		// windows that changed since the last build are summarized again.
 		snap.traj = s.tw.Trajectory()
 		snap.Series, snap.Windows, snap.Coarse = snap.traj.Series, snap.traj.Ring, snap.traj.Coarse
-		if s.seg != nil {
-			// Sync rewinds the incremental segmenter only past the windows
-			// that actually changed since the last snapshot (usually just
-			// the still-growing tail), then the pruned DP extends over the
-			// new suffix.
-			s.seg.Sync(snap.Windows)
-			snap.Phases = snap.traj.SummarizePhases(s.seg.Phases())
-		}
+		snap.Phases = snap.traj.SummarizePhases(temporal.Segment(snap.Windows, s.penalty))
 	}
 	return snap
 }

@@ -48,14 +48,14 @@ func (r *Reactive) Plan(_ int, measured []float64) (Plan, error) {
 }
 
 // Predictive forecasts the next phase's per-rank loads from the phase
-// trajectory and pre-migrates the full correction. The forecaster feeds
-// each boundary's measurement into a temporal.StreamSegmenter as one
-// window of an ID trajectory; the segmenter's change-point fit groups
-// boundaries into regimes, and the forecast for the next phase is the
-// fingerprint (mean per-rank load share) of the current regime's
-// windows, pooled with the most recent earlier regime carrying the same
-// label when one exists — so a recurring phase is anticipated from its
-// last occurrence the moment the regime flips. Because the forecast is
+// trajectory and pre-migrates the full correction. The forecaster records
+// each boundary's measurement as one window of an ID trajectory;
+// temporal.Segment's change-point fit groups boundaries into regimes,
+// and the forecast for the next phase is the fingerprint (mean per-rank
+// load share) of the current regime's windows, pooled with the most
+// recent earlier regime carrying the same label when one exists — so a
+// recurring phase is anticipated from its last occurrence the moment
+// the regime flips. Because the forecast is
 // regime-averaged rather than a single possibly-transient measurement,
 // the policy applies it undamped; when nothing has been observed yet it
 // falls back to the damped reactive plan.
@@ -104,9 +104,8 @@ func (p *Predictive) Plan(_ int, measured []float64) (Plan, error) {
 // A Forecaster accumulates per-boundary load measurements and predicts
 // the next phase's per-rank loads from the segmented trajectory.
 type Forecaster struct {
-	seg    *temporal.StreamSegmenter
-	shares [][]float64 // per boundary: normalized per-rank load shares (nil for all-idle)
-	totals []float64   // per boundary: total load
+	stats  []temporal.WindowStat // per boundary: one window, Busy the total load
+	shares [][]float64           // per boundary: normalized per-rank load shares (nil for all-idle)
 	// epoch is the first window index measured after the last applied
 	// migration. Earlier windows describe a different work ownership and
 	// would poison the fingerprint — a share vector from before a
@@ -114,15 +113,13 @@ type Forecaster struct {
 	epoch int
 }
 
-// NewForecaster creates an empty forecaster with the segmenter's
+// NewForecaster creates an empty forecaster; it segments with the
 // automatic change-point penalty.
-func NewForecaster() *Forecaster {
-	return &Forecaster{seg: temporal.NewStreamSegmenter(0)}
-}
+func NewForecaster() *Forecaster { return &Forecaster{} }
 
 // Observe feeds one boundary's measured per-rank loads.
 func (f *Forecaster) Observe(measured []float64) {
-	n := len(f.totals)
+	n := len(f.stats)
 	total := 0.0
 	for _, l := range measured {
 		total += l
@@ -145,15 +142,14 @@ func (f *Forecaster) Observe(measured []float64) {
 			share[i] = l / total
 		}
 	}
-	f.seg.Append(w)
+	f.stats = append(f.stats, w)
 	f.shares = append(f.shares, share)
-	f.totals = append(f.totals, total)
 }
 
 // MarkMigration records that the plan just produced will be applied:
 // windows observed before this point describe the old work ownership
 // and are excluded from future fingerprints.
-func (f *Forecaster) MarkMigration() { f.epoch = len(f.totals) }
+func (f *Forecaster) MarkMigration() { f.epoch = len(f.stats) }
 
 // Forecast predicts the next phase's per-rank loads: the pooled mean
 // share vector of the current regime (and its last same-labeled
@@ -161,7 +157,7 @@ func (f *Forecaster) MarkMigration() { f.epoch = len(f.totals) }
 // only windows from the current ownership epoch. ok is false while no
 // usable measurement has been observed.
 func (f *Forecaster) Forecast() ([]float64, bool) {
-	phases := f.seg.Phases()
+	phases := temporal.Segment(f.stats, 0)
 	if len(phases) == 0 {
 		return nil, false
 	}
@@ -193,7 +189,7 @@ func (f *Forecaster) Forecast() ([]float64, bool) {
 	if windows == 0 {
 		return nil, false
 	}
-	scale := f.totals[len(f.totals)-1] / float64(windows)
+	scale := f.stats[len(f.stats)-1].Busy / float64(windows)
 	if scale <= 0 {
 		scale = 1 / float64(windows)
 	}

@@ -12,7 +12,7 @@
 // replays the classic iterate-until-load-below-target loop (huji-rich
 // SetLoad) against the loads just measured, damped because a single
 // measurement may be transient; the predictive policy forecasts the next
-// phase's loads from the temporal.StreamSegmenter phase trajectory
+// phase's loads from the temporal.Segment phase trajectory
 // (Boulmier et al., "Anticipating Load Imbalance") and pre-migrates the
 // full correction before the phase starts.
 //

@@ -123,10 +123,8 @@ func TestPhasesMatchOfflineCfd(t *testing.T) {
 }
 
 // TestPhasesIncrementalMatchesOffline drives the collector through many
-// snapshot cycles (the segmenter syncing and rewinding its DP each time)
-// and checks every intermediate segmentation against a fresh offline
-// Segment of the same trajectory — the monitor-side counterpart of the
-// temporal package's prefix-equality property.
+// snapshot cycles and checks every intermediate segmentation against a
+// fresh offline Segment of the same trajectory.
 func TestPhasesIncrementalMatchesOffline(t *testing.T) {
 	c := monitor.NewCollector(monitor.Options{Window: 0.5})
 	var lg trace.Log
@@ -182,8 +180,8 @@ func TestPhasesIncrementalMatchesOffline(t *testing.T) {
 
 // TestConcurrentRecordPhases hammers the collector with concurrent
 // recorders and /phases.json scrapes; under -race this verifies the
-// streaming segmenter stays inside the fold mutex and the published
-// phases are immutable.
+// segmentation stays inside the fold mutex and the published phases are
+// immutable.
 func TestConcurrentRecordPhases(t *testing.T) {
 	c := monitor.NewCollector(monitor.Options{Window: 1})
 	handler := PhasesHandler(c)

@@ -41,9 +41,10 @@ type Phase struct {
 // the sum over segments of the within-segment squared deviation of the
 // ID values from the segment mean, plus penalty per change point, with
 // the pruned dynamic program that makes the exact optimum effectively
-// linear-time. A penalty <= 0 selects a BIC-style default, 2·σ̂²·log n,
-// with σ̂² estimated from the first differences of the trajectory so
-// slow trends do not inflate it.
+// linear-time while change points keep occurring; a trajectory with
+// none prunes nothing and costs O(n²). A penalty <= 0 selects a
+// BIC-style default, 2·σ̂²·log n, with σ̂² estimated from the first
+// differences of the trajectory so slow trends do not inflate it.
 //
 // Windows with a null ID enter the cost as zero — an idle window is its
 // own regime, and the segmentation separates it just like any other
@@ -65,12 +66,10 @@ func Segment(stats []WindowStat, penalty float64) []Phase {
 }
 
 // phasesFromBounds turns a segmentation's exclusive end positions into
-// labeled phases; it is shared by the offline Segment and the streaming
-// StreamSegmenter so both paths label identically. The hot/quiet
-// threshold is the mean ID over the windows whose ID is defined: an
-// all-idle window has no load to disperse, and averaging it in as zero
-// would deflate the threshold on idle-heavy runs until balanced stretches
-// read as hot.
+// labeled phases. The hot/quiet threshold is the mean ID over the
+// windows whose ID is defined: an all-idle window has no load to
+// disperse, and averaging it in as zero would deflate the threshold on
+// idle-heavy runs until balanced stretches read as hot.
 func phasesFromBounds(stats []WindowStat, x []float64, bounds []int) []Phase {
 	overall, defined := 0.0, 0
 	for i, w := range stats {
@@ -136,7 +135,7 @@ func pelt(x []float64, penalty float64) []int {
 	}
 	beta := penalty
 	if beta <= 0 {
-		beta = defaultPenalty(sortedAbsDiffs(x), s1[n], s2[n], n)
+		beta = defaultPenalty(x, s1[n], s2[n])
 	}
 	// F[t] is the optimal penalized cost of x[:t]; cands holds the
 	// change-point candidates PELT has not pruned.
@@ -172,21 +171,6 @@ func pelt(x []float64, penalty float64) []int {
 	return bounds
 }
 
-// sortedAbsDiffs returns the absolute first differences of x in
-// ascending order — the multiset the automatic penalty estimates its
-// noise scale from.
-func sortedAbsDiffs(x []float64) []float64 {
-	if len(x) < 2 {
-		return nil
-	}
-	diffs := make([]float64, 0, len(x)-1)
-	for i := 1; i < len(x); i++ {
-		diffs = append(diffs, math.Abs(x[i]-x[i-1]))
-	}
-	sort.Float64s(diffs)
-	return diffs
-}
-
 // varPenaltyFraction scales the variance-based penalty floor used when
 // the median absolute difference is zero. In that regime the signal is
 // piecewise constant, a k-cut segmentation fits it exactly, and the
@@ -207,13 +191,18 @@ const varPenaltyFraction = 4.0
 // more than half the windows repeat their neighbour's value, common for
 // constant or idle-heavy stretches — the MAD estimate degenerates and a
 // near-zero penalty would cut a phase at every noise blip. The fallback
-// is a scale-aware floor, a fraction of the trajectory's variance
-// (computed from the DP's own prefix sums s1n = Σx, s2n = Σx², so the
-// offline and streaming paths agree bit for bit).
-func defaultPenalty(diffs []float64, s1n, s2n float64, n int) float64 {
+// is a scale-aware floor, a fraction of the trajectory's variance,
+// computed from the DP's own prefix sums s1n = Σx and s2n = Σx².
+func defaultPenalty(x []float64, s1n, s2n float64) float64 {
+	n := len(x)
 	if n < 2 {
 		return 1e-12
 	}
+	diffs := make([]float64, n-1)
+	for i := 1; i < n; i++ {
+		diffs[i-1] = math.Abs(x[i] - x[i-1])
+	}
+	sort.Float64s(diffs)
 	mad := diffs[len(diffs)/2]
 	if mad > 0 {
 		// σ ≈ MAD / (Φ⁻¹(3/4)·√2) for Gaussian differences.

@@ -252,3 +252,143 @@ func peltCost(x []float64, bounds []int, beta float64) float64 {
 	}
 	return total - beta // pelt charges beta per change point, not per segment
 }
+
+// workloadTrajectory is a workload-shaped trajectory: quiet ramp-up with
+// ripple, a hot plateau, an idle gap (NaN = all-idle window), and a
+// quiet tail.
+func workloadTrajectory() []float64 {
+	nan := math.NaN()
+	var ids []float64
+	ripple := []float64{0.004, -0.003, 0.001, -0.002, 0.005}
+	for i := 0; i < 12; i++ {
+		ids = append(ids, 0.07+ripple[i%len(ripple)])
+	}
+	for i := 0; i < 9; i++ {
+		ids = append(ids, 0.55+ripple[(i+2)%len(ripple)])
+	}
+	ids = append(ids, nan, nan, nan)
+	for i := 0; i < 10; i++ {
+		ids = append(ids, 0.12+ripple[i%len(ripple)])
+	}
+	return ids
+}
+
+// unprunedDP is the O(n²) dynamic program PELT prunes: the same
+// prefix-sum cost and the same penalty, automatic included, with every
+// earlier position kept as a change-point candidate. It returns the
+// optimal penalized cost of x, the penalty it used, the cost function
+// (so a caller can price another segmentation the same way) and Σx².
+func unprunedDP(x []float64, penalty float64) (opt, beta float64, cost func(a, b int) float64, s2n float64) {
+	n := len(x)
+	s1 := make([]float64, n+1)
+	s2 := make([]float64, n+1)
+	for i, v := range x {
+		s1[i+1] = s1[i] + v
+		s2[i+1] = s2[i] + v*v
+	}
+	cost = func(a, b int) float64 {
+		m := float64(b - a)
+		d := s1[b] - s1[a]
+		c := s2[b] - s2[a] - d*d/m
+		if c < 0 {
+			return 0
+		}
+		return c
+	}
+	beta = penalty
+	if beta <= 0 {
+		beta = defaultPenalty(x, s1[n], s2[n])
+	}
+	f := make([]float64, n+1)
+	f[0] = -beta
+	for t := 1; t <= n; t++ {
+		f[t] = math.Inf(1)
+		for s := 0; s < t; s++ {
+			f[t] = math.Min(f[t], f[s]+cost(s, t)+beta)
+		}
+	}
+	return f[n], beta, cost, s2[n]
+}
+
+// checkSegmentOptimal asserts that Segment's phases partition stats in
+// order and that their penalized cost is the unpruned optimum: PELT's
+// pruning may skip work but never change the optimum.
+func checkSegmentOptimal(t *testing.T, stats []WindowStat, penalty float64) {
+	t.Helper()
+	x := make([]float64, len(stats))
+	for i, w := range stats {
+		if w.ID != nil {
+			x[i] = *w.ID
+		}
+	}
+	phases := Segment(stats, penalty)
+	want, beta, cost, s2n := unprunedDP(x, penalty)
+	got, pos := -beta, 0
+	for k, ph := range phases {
+		if ph.Windows < 1 || pos+ph.Windows > len(stats) {
+			t.Fatalf("penalty %g n %d: phase %d of %+v does not fit", penalty, len(stats), k, phases)
+		}
+		first, last := stats[pos], stats[pos+ph.Windows-1]
+		if ph.FirstWindow != first.Index || ph.LastWindow != last.Index || ph.Start != first.Start || ph.End != last.End {
+			t.Fatalf("penalty %g n %d: phase %d = %+v, windows %d..%d", penalty, len(stats), k, ph, pos, pos+ph.Windows-1)
+		}
+		got += cost(pos, pos+ph.Windows) + beta
+		pos += ph.Windows
+	}
+	if pos != len(stats) {
+		t.Fatalf("penalty %g: phases cover %d of %d windows: %+v", penalty, pos, len(stats), phases)
+	}
+	// Relative to the larger of the optimum and Σx², which bounds every
+	// segment cost: an optimum near zero is a cancellation, not a scale.
+	if math.Abs(got-want) > 1e-9*math.Max(math.Abs(want), s2n) {
+		t.Fatalf("penalty %g x %v: Segment's partition costs %g, unpruned optimum %g", penalty, x, got, want)
+	}
+}
+
+// TestSegmentOptimalOnEveryPrefix: on every prefix of a workload-shaped
+// trajectory, under the automatic and two explicit penalties, Segment
+// finds the unpruned optimum — what a live scrape segments at each
+// generation.
+func TestSegmentOptimalOnEveryPrefix(t *testing.T) {
+	stats := statsFromIDs(workloadTrajectory())
+	for _, penalty := range []float64{0, 0.05, 1e-6} {
+		for i := range stats {
+			checkSegmentOptimal(t, stats[:i+1], penalty)
+		}
+	}
+}
+
+// FuzzSegment fuzzes Segment against the unpruned DP: an arbitrary byte
+// string decodes into a trajectory (values, idle windows, and a penalty
+// selector) whose segmentation must partition the windows and reach the
+// unpruned optimum.
+func FuzzSegment(f *testing.F) {
+	f.Add([]byte{0x10, 0x80, 0xFF, 0x00, 0x42})
+	f.Add([]byte{0x00, 0x00, 0x00, 0xF0, 0xF0, 0xF0, 0x00, 0x00})
+	f.Add([]byte{0xAA, 0x55, 0xAA, 0x55, 0xAA, 0x55, 0xAA, 0x55, 0x13})
+	// A ramp, on which pruning more than PELT's rule allows loses the optimum.
+	f.Add([]byte{0x00, 0x00, 0x20, 0x41, 0x62})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 96 {
+			t.Skip()
+		}
+		// First byte selects the penalty; the rest are windows. 0xFF
+		// marks an all-idle window, anything else an ID in [0, 1).
+		penalty := 0.0
+		if data[0]%3 == 1 {
+			penalty = float64(data[0]) / 256
+		}
+		ids := make([]float64, 0, len(data)-1)
+		for _, b := range data[1:] {
+			if b == 0xFF {
+				ids = append(ids, math.NaN())
+			} else {
+				ids = append(ids, float64(b)/256)
+			}
+		}
+		if len(ids) == 0 {
+			t.Skip()
+		}
+		checkSegmentOptimal(t, statsFromIDs(ids), penalty)
+	})
+}

@@ -58,7 +58,7 @@ func (s PhaseSummary) Phase() Phase {
 // per-phase dispersion indices computed from the series' busy vectors,
 // and — when the series carries per-activity vectors — each phase's hot
 // activities. phases must be a segmentation of ser's own trajectory
-// (Segment or StreamSegmenter output over ser.Stats()).
+// (Segment output over ser.Stats()).
 func SummarizePhases(ser *Series, phases []Phase) []PhaseSummary {
 	if ser == nil || len(phases) == 0 {
 		return nil
