@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -68,6 +69,9 @@ func run(args []string, stdout io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *window < 0 || math.IsNaN(*window) || math.IsInf(*window, 0) {
+		return fmt.Errorf("-window %g is not a finite width >= 0 (0 turns windowing off)", *window)
 	}
 
 	cfg := cfd.Defaults()

@@ -74,6 +74,14 @@ func TestRunInvalidConfig(t *testing.T) {
 	if err := run([]string{"-nosuchflag"}, &sb); err == nil {
 		t.Error("unknown flag should fail")
 	}
+	// A NaN or negative width would silently turn the -serve
+	// collector's windowing off, and +Inf would make its window
+	// documents fail to encode.
+	for _, w := range []string{"NaN", "+Inf", "-Inf", "-1"} {
+		if err := run(fastArgs("-window", w), &sb); err == nil || !strings.Contains(err.Error(), "-window") {
+			t.Errorf("-window %s: err = %v, want a -window error", w, err)
+		}
+	}
 }
 
 func TestRunBadOutputPath(t *testing.T) {

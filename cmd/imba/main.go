@@ -87,6 +87,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *window < 0 || math.IsNaN(*window) || math.IsInf(*window, 0) {
+		return fmt.Errorf("-window %g is not a finite width >= 0 (0 turns windowing off)", *window)
+	}
 	if (*window > 0 || *phases || *perAct || *diag) && *eventsIn == "" {
 		return fmt.Errorf("-window and -phases need an event trace: pass -events <file> (cubes carry no time structure)")
 	}

@@ -306,6 +306,22 @@ func TestRunTemporalPhases(t *testing.T) {
 			t.Errorf("-penalty %s accepted", p)
 		}
 	}
+	// A NaN width would silently mean no trajectory and +Inf one window
+	// with NaN bounds; a negative one would be ignored unless -phases
+	// asked for the trajectory. 0 means no windows.
+	for _, args := range [][]string{
+		{"-window", "NaN", "-phases"},
+		{"-window", "+Inf", "-phases"},
+		{"-window", "-1"},
+		{"-window", "-Inf"},
+	} {
+		if err := run(append([]string{"-events", path}, args...), &sb); err == nil || !strings.Contains(err.Error(), "-window") {
+			t.Errorf("%v: err = %v, want a -window error", args, err)
+		}
+	}
+	if err := run([]string{"-events", path, "-window", "0"}, &sb); err != nil {
+		t.Errorf("-window 0: %v", err)
+	}
 }
 
 func TestRunDiagnose(t *testing.T) {

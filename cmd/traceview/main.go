@@ -75,6 +75,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *window < 0 || math.IsNaN(*window) || math.IsInf(*window, 0) {
+		return fmt.Errorf("-window %g is not a finite width >= 0 (0 turns windowing off)", *window)
+	}
 	if math.IsNaN(*penalty) || math.IsInf(*penalty, 0) {
 		return fmt.Errorf("-penalty %g is not finite (0 = automatic)", *penalty)
 	}

@@ -163,6 +163,22 @@ func TestRunTimelinePhases(t *testing.T) {
 			t.Errorf("-penalty %s accepted", p)
 		}
 	}
+	// A NaN width would list no phases and +Inf one phase with NaN
+	// bounds; a negative one would be ignored unless -phases asked for
+	// the trajectory. 0 means no windows.
+	for _, args := range [][]string{
+		{"-window", "NaN", "-phases"},
+		{"-window", "+Inf", "-phases"},
+		{"-window", "-1"},
+		{"-window", "-Inf"},
+	} {
+		if err := run(append([]string{"-timeline", "-events", path}, args...), &sb); err == nil || !strings.Contains(err.Error(), "-window") {
+			t.Errorf("%v: err = %v, want a -window error", args, err)
+		}
+	}
+	if err := run([]string{"-timeline", "-events", path, "-window", "0"}, &sb); err != nil {
+		t.Errorf("-window 0: %v", err)
+	}
 }
 
 const streamHeader = "streaming detection (live segmenter replay, queried after every window):\n"

@@ -331,7 +331,7 @@ type foldState struct {
 	// event's names resolve to the cube indices (i, j) it folds into,
 	// which the window fold takes as they are. Indices never move once
 	// assigned.
-	regions, activities temporal.Names
+	regions, activities trace.Names
 	procs               int
 	span                float64
 	// folded is the number of events folded so far: exactly the events

@@ -13,6 +13,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 
 	"loadimb/internal/sim"
@@ -164,18 +166,105 @@ func (w *World) Run(program func(c *Comm) error) error {
 }
 
 // Log merges the per-rank event streams of the last successful Run into a
-// single trace log.
+// single trace log ordered by start time, then rank, then region; events
+// equal in all three keep the order their rank recorded them in. A
+// malformed event fails the merge with the first error in rank order.
 func (w *World) Log() (*trace.Log, error) {
-	var log trace.Log
-	for _, evs := range w.events {
+	streams := make([][]trace.Event, len(w.events))
+	total := 0
+	for r, evs := range w.events {
 		for _, e := range evs {
-			if err := log.Append(e); err != nil {
+			if err := e.Validate(); err != nil {
 				return nil, err
 			}
 		}
+		// A rank's clock never runs backwards, but a zero-length event
+		// can close one region at the instant the next region starts,
+		// so equal starts may still need their regions ordered.
+		if !slices.IsSortedFunc(evs, cmpStartRegion) {
+			evs = slices.Clone(evs)
+			slices.SortStableFunc(evs, cmpStartRegion)
+		}
+		streams[r] = evs
+		total += len(evs)
 	}
-	log.SortByStart()
-	return &log, nil
+	log := trace.NewLog(total)
+	t := newTournament(streams)
+	for range total {
+		r := t[0].rank
+		if err := log.Append(streams[r][0]); err != nil {
+			return nil, err
+		}
+		streams[r] = streams[r][1:]
+		t.replay(head{headStart(streams[r]), r})
+	}
+	return log, nil
+}
+
+// cmpStartRegion orders one rank's events by start time, then region.
+func cmpStartRegion(a, b trace.Event) int {
+	if a.Start != b.Start {
+		if a.Start < b.Start {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(a.Region, b.Region)
+}
+
+// headStart is the start of a stream's first event, or +Inf, which no
+// valid event's start reaches, for an empty stream.
+func headStart(evs []trace.Event) float64 {
+	if len(evs) == 0 {
+		return math.Inf(1)
+	}
+	return evs[0].Start
+}
+
+// head is a rank's merge key: the start of its next unmerged event.
+type head struct {
+	start float64
+	rank  int
+}
+
+// before orders heads by start, then rank.
+func (h head) before(o head) bool {
+	return h.start < o.start || h.start == o.start && h.rank < o.rank
+}
+
+// tournament is a loser tree over the ranks' heads: t[0] is the winner,
+// the smallest head, and t[i] for i > 0 the head that lost the match at
+// internal node i. Rank r's leaf is node len(t)+r, and node i's parent
+// is i/2.
+type tournament []head
+
+func newTournament(streams [][]trace.Event) tournament {
+	n := len(streams)
+	t := make(tournament, n)
+	win := make([]head, 2*n)
+	for r, evs := range streams {
+		win[n+r] = head{headStart(evs), r}
+	}
+	for i := n - 1; i > 0; i-- {
+		a, b := win[2*i], win[2*i+1]
+		if b.before(a) {
+			a, b = b, a
+		}
+		win[i], t[i] = a, b
+	}
+	t[0] = win[1]
+	return t
+}
+
+// replay plays the winning rank's new head h from its leaf to the root;
+// the losers on that path are the other subtrees' winners.
+func (t tournament) replay(h head) {
+	for i := (len(t) + h.rank) / 2; i > 0; i /= 2 {
+		if t[i].before(h) {
+			t[i], h = h, t[i]
+		}
+	}
+	t[0] = h
 }
 
 // Cube aggregates the recorded events into a measurement cube, with

@@ -84,7 +84,7 @@ const DefaultWindowCap = 4096
 // fold mutex, offline callers fold a log single-threaded.
 //
 // The fold addresses regions and activities by index: AddIndexed takes
-// the indices a caller's Names already gave the event's names (the
+// the indices a caller's trace.Names already gave the event's names (the
 // collector's cube interns them anyway), and Add interns them itself. A
 // window keeps one (index, vector) pair per dimension it recorded, sorted
 // by index, so an event costs an index compare per dimension rather than
@@ -99,7 +99,7 @@ type Fold struct {
 	filter map[string]bool
 
 	// regIdx and actIdx intern the names of events folded through Add.
-	regIdx, actIdx Names
+	regIdx, actIdx trace.Names
 	// regName[i] and actName[j] name region index i and activity index j:
 	// each is learned from the first event that gives a window a vector
 	// of that dimension.
@@ -219,9 +219,10 @@ func (f *Fold) Add(e trace.Event) {
 }
 
 // AddIndexed is Add for a caller that has already interned the event's
-// names: region and activity are the indices its Names gave e.Region and
-// e.Activity. A fold takes every event through Add or every event
-// through AddIndexed, and the indices name the same names throughout.
+// names: region and activity are the indices its trace.Names gave
+// e.Region and e.Activity. A fold takes every event through Add or every
+// event through AddIndexed, and the indices name the same names
+// throughout.
 func (f *Fold) AddIndexed(e trace.Event, region, activity int) {
 	if e.Rank >= f.procs {
 		f.procs = e.Rank + 1

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // An Event is one timed interval recorded during execution: processor Rank
@@ -45,6 +44,10 @@ func (e Event) Validate() error {
 type Log struct {
 	events []Event
 }
+
+// NewLog returns an empty log with room for n events, for producers that
+// know their event count before they append.
+func NewLog(n int) *Log { return &Log{events: make([]Event, 0, n)} }
 
 // Append adds an event after validating it.
 func (l *Log) Append(e Event) error {
@@ -126,16 +129,26 @@ func (l *Log) AggregateProcs(regionOrder, activityOrder []string, procs int) (*C
 	if r := l.Ranks(); r > procs {
 		procs = r
 	}
-	regions := orderedNames(regionOrder, l.events, func(e Event) string { return e.Region })
-	activities := orderedNames(activityOrder, l.events, func(e Event) string { return e.Activity })
-	cube, err := NewCube(regions, activities, procs)
+	// Each event's names are resolved once, while the dimensions are
+	// collected; at keeps the indices for the add loop.
+	var regions, activities Names
+	for _, n := range regionOrder {
+		regions.Index(n)
+	}
+	for _, n := range activityOrder {
+		activities.Index(n)
+	}
+	at := make([][2]int, len(l.events))
+	for k, e := range l.events {
+		at[k][0], _ = regions.Index(e.Region)
+		at[k][1], _ = activities.Index(e.Activity)
+	}
+	cube, err := NewCube(regions.List(), activities.List(), procs)
 	if err != nil {
 		return nil, err
 	}
-	ri := indexMap(regions)
-	ai := indexMap(activities)
-	for _, e := range l.events {
-		if err := cube.Add(ri[e.Region], ai[e.Activity], e.Rank, e.Duration()); err != nil {
+	for k, e := range l.events {
+		if err := cube.Add(at[k][0], at[k][1], e.Rank, e.Duration()); err != nil {
 			return nil, err
 		}
 	}
@@ -147,48 +160,6 @@ func (l *Log) AggregateProcs(regionOrder, activityOrder []string, procs int) (*C
 		}
 	}
 	return cube, nil
-}
-
-func orderedNames(order []string, events []Event, key func(Event) string) []string {
-	var names []string
-	seen := make(map[string]bool)
-	for _, n := range order {
-		if !seen[n] {
-			seen[n] = true
-			names = append(names, n)
-		}
-	}
-	for _, e := range events {
-		n := key(e)
-		if !seen[n] {
-			seen[n] = true
-			names = append(names, n)
-		}
-	}
-	return names
-}
-
-func indexMap(names []string) map[string]int {
-	m := make(map[string]int, len(names))
-	for i, n := range names {
-		m[n] = i
-	}
-	return m
-}
-
-// SortByStart orders events by start time, breaking ties by rank then
-// region; renderers and the tracefile writer use it for stable output.
-func (l *Log) SortByStart() {
-	sort.SliceStable(l.events, func(a, b int) bool {
-		ea, eb := l.events[a], l.events[b]
-		if ea.Start != eb.Start {
-			return ea.Start < eb.Start
-		}
-		if ea.Rank != eb.Rank {
-			return ea.Rank < eb.Rank
-		}
-		return ea.Region < eb.Region
-	})
 }
 
 // Durations returns the durations of every event of the given activity,

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -159,31 +160,112 @@ func TestAggregateEmpty(t *testing.T) {
 	}
 }
 
-func TestSortByStart(t *testing.T) {
+// refAggregateProcs is AggregateProcs as it was before names were
+// resolved once per event: it collects each dimension's names in one
+// pass with a seen set, then maps every event's names again through an
+// index map. It is the oracle for the one-pass version.
+func refAggregateProcs(l *Log, regionOrder, activityOrder []string, procs int) (*Cube, error) {
+	if r := l.Ranks(); r > procs {
+		procs = r
+	}
+	ordered := func(order []string, key func(Event) string) []string {
+		var names []string
+		seen := make(map[string]bool)
+		for _, n := range order {
+			if !seen[n] {
+				seen[n] = true
+				names = append(names, n)
+			}
+		}
+		for _, e := range l.events {
+			if n := key(e); !seen[n] {
+				seen[n] = true
+				names = append(names, n)
+			}
+		}
+		return names
+	}
+	regions := ordered(regionOrder, func(e Event) string { return e.Region })
+	activities := ordered(activityOrder, func(e Event) string { return e.Activity })
+	cube, err := NewCube(regions, activities, procs)
+	if err != nil {
+		return nil, err
+	}
+	ri, ai := make(map[string]int), make(map[string]int)
+	for i, n := range regions {
+		ri[n] = i
+	}
+	for j, n := range activities {
+		ai[n] = j
+	}
+	for _, e := range l.events {
+		if err := cube.Add(ri[e.Region], ai[e.Activity], e.Rank, e.Duration()); err != nil {
+			return nil, err
+		}
+	}
+	if span := l.Span(); span > cube.RegionsTotal() {
+		if err := cube.SetProgramTime(span); err != nil {
+			return nil, err
+		}
+	}
+	return cube, nil
+}
+
+func TestAggregateNameOrder(t *testing.T) {
 	var l Log
+	// New names arrive interleaved across ranks; durations are not exact
+	// binary fractions, so any change in summation order shows in the
+	// cells' bits.
 	for _, e := range []Event{
-		{Rank: 1, Region: "b", Activity: "a", Start: 2, End: 3},
-		{Rank: 1, Region: "a", Activity: "a", Start: 1, End: 2},
-		{Rank: 0, Region: "c", Activity: "a", Start: 1, End: 2},
-		{Rank: 0, Region: "a", Activity: "a", Start: 1, End: 2},
+		{Rank: 0, Region: "r1", Activity: "comp", Start: 0, End: 0.1},
+		{Rank: 2, Region: "r2", Activity: "comp", Start: 0, End: 0.3},
+		{Rank: 1, Region: "r1", Activity: "p2p", Start: 0.1, End: 0.7},
+		{Rank: 0, Region: "r3", Activity: "sync", Start: 0.1, End: 0.2},
+		{Rank: 2, Region: "r1", Activity: "io", Start: 0.3, End: 1.1},
+		{Rank: 1, Region: "r4", Activity: "comp", Start: 0.7, End: 0.9},
+		{Rank: 0, Region: "r3", Activity: "comp", Start: 0.2, End: 0.5},
+		{Rank: 0, Region: "r1", Activity: "comp", Start: 0.5, End: 0.6},
+		{Rank: 1, Region: "r1", Activity: "p2p", Start: 0.9, End: 1.3},
 	} {
 		if err := l.Append(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l.SortByStart()
-	evs := l.Events()
-	if evs[0].Region != "a" || evs[0].Rank != 0 {
-		t.Errorf("first event = %+v", evs[0])
-	}
-	if evs[1].Region != "c" {
-		t.Errorf("second event = %+v", evs[1])
-	}
-	if evs[2].Rank != 1 || evs[2].Region != "a" {
-		t.Errorf("third event = %+v", evs[2])
-	}
-	if evs[3].Start != 2 {
-		t.Errorf("last event = %+v", evs[3])
+	for _, tc := range []struct {
+		regions, activities []string
+		procs               int
+	}{
+		{nil, nil, 0},
+		// A duplicate and a name no event uses in each dimension.
+		{[]string{"r3", "unused", "r3", "r1"}, []string{"sync", "comp", "idle", "sync"}, 0},
+		{[]string{"r4"}, []string{"io", "io"}, 5},
+	} {
+		got, err := l.AggregateProcs(tc.regions, tc.activities, tc.procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refAggregateProcs(&l, tc.regions, tc.activities, tc.procs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Regions(), want.Regions()) || !reflect.DeepEqual(got.Activities(), want.Activities()) || got.NumProcs() != want.NumProcs() {
+			t.Fatalf("%v/%v: axes %v %v %d, want %v %v %d", tc.regions, tc.activities,
+				got.Regions(), got.Activities(), got.NumProcs(), want.Regions(), want.Activities(), want.NumProcs())
+		}
+		for i := 0; i < got.NumRegions(); i++ {
+			for j := 0; j < got.NumActivities(); j++ {
+				for p := 0; p < got.NumProcs(); p++ {
+					g, _ := got.At(i, j, p)
+					w, _ := want.At(i, j, p)
+					if math.Float64bits(g) != math.Float64bits(w) {
+						t.Errorf("%v/%v: t(%d,%d,%d) = %v, want %v", tc.regions, tc.activities, i, j, p, g, w)
+					}
+				}
+			}
+		}
+		if g, w := got.ProgramTime(), want.ProgramTime(); math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("%v/%v: program time %v, want %v", tc.regions, tc.activities, g, w)
+		}
 	}
 }
 
