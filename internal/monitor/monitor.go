@@ -51,7 +51,9 @@ import (
 type Options struct {
 	// Window is the width, in virtual seconds, of the temporal windows
 	// the collector tracks per-processor load in (the imbalance
-	// trajectory served at /timeline.json). 0 disables windowing.
+	// trajectory served at /timeline.json). Only a positive, finite
+	// width enables windowing; 0, a negative width, NaN and ±Inf
+	// disable it.
 	Window float64
 	// Regions and Activities preset the cube dimension orders, so gauge
 	// label sets stay stable from the first scrape and match an offline
@@ -129,14 +131,18 @@ func NewCollector(opts Options) *Collector {
 	if maxRank <= 0 {
 		maxRank = DefaultMaxRank
 	}
+	window := opts.Window
+	if !(window > 0) || math.IsInf(window, 1) {
+		window = 0
+	}
 	c := &Collector{
-		window:  opts.Window,
+		window:  window,
 		boot:    BootNonce(),
 		maxRank: maxRank,
 	}
 	c.rec = c.newProducer(recordRing, false)
 	c.state.init(opts.Regions, opts.Activities)
-	if opts.Window > 0 {
+	if window > 0 {
 		// The windowing itself lives in internal/temporal — the one
 		// implementation of the clipping semantics, shared with the
 		// offline and federated pipelines. PerActivity keeps per-window
@@ -150,7 +156,7 @@ func NewCollector(opts Options) *Collector {
 			winCap = temporal.DefaultWindowCap
 		}
 		c.state.tw = temporal.NewFold(temporal.Options{
-			Window:      opts.Window,
+			Window:      window,
 			PerActivity: true,
 			PerRegion:   true,
 			WindowCap:   winCap,

@@ -69,5 +69,5 @@ func (c *Comm) AllgatherValues(value float64, bytes int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return res.Values, nil
+	return res.Values(), nil
 }

@@ -12,19 +12,38 @@ import (
 // exactly like the timing events — so the whole methodology (dispersion
 // indices, views, scaling) applies unchanged to bytes.
 
-// countEntry is one counter increment.
+// countEntry is one (region, activity) cell of a rank's counter ledger:
+// the sum of every increment the rank credited to it, added left to right
+// from zero in record order.
 type countEntry struct {
 	region   string
 	activity string
 	bytes    float64
 }
 
+// countHook, when set, sees every increment before addBytes folds it into
+// its cell, from the recording rank's goroutine. The tests replay the
+// increments one by one as the oracle for the folded ledger.
+var countHook func(w *World, rank int, e countEntry)
+
 // addBytes credits n bytes to the current region under the activity. It
 // is a no-op outside a region (uninstrumented communication) or for
-// nonpositive counts.
+// nonpositive counts. The ledger keeps one entry per (region, activity),
+// in order of first appearance; a rank has few of them and touches the
+// most recent ones most, so a backward scan finds the cell without
+// hashing.
 func (c *Comm) addBytes(activity string, n int) {
 	if c.region == "" || n <= 0 {
 		return
+	}
+	if countHook != nil {
+		countHook(c.world, c.rank, countEntry{region: c.region, activity: activity, bytes: float64(n)})
+	}
+	for i := len(c.counts) - 1; i >= 0; i-- {
+		if e := &c.counts[i]; e.activity == activity && e.region == c.region {
+			e.bytes += float64(n)
+			return
+		}
 	}
 	c.counts = append(c.counts, countEntry{region: c.region, activity: activity, bytes: float64(n)})
 }
@@ -36,9 +55,15 @@ func (c *Comm) addBytes(activity string, n int) {
 // has no separate program total; shares are relative to the total bytes
 // moved in the instrumented regions.
 func (w *World) BytesCube(regionOrder []string) (*trace.Cube, error) {
-	// Reuse the event-log aggregation by encoding each increment as a
-	// zero-length "event" carrying the byte count as duration.
-	var log trace.Log
+	// Reuse the event-log aggregation by encoding each cell as an
+	// "event" from 0 carrying the byte count as duration. A cell's sum is
+	// the one the aggregation would reach adding its increments one by
+	// one, and regions still appear in rank-major order of first use.
+	total := 0
+	for _, entries := range w.counts {
+		total += len(entries)
+	}
+	log := trace.NewLog(total)
 	for rank, entries := range w.counts {
 		for _, e := range entries {
 			ev := trace.Event{
@@ -65,7 +90,7 @@ func (w *World) BytesCube(regionOrder []string) (*trace.Cube, error) {
 		return nil, err
 	}
 	// The aggregation sets the program time to the log span, which for
-	// counters is just the largest single increment — meaningless.
+	// counters is just the largest single cell — meaningless.
 	// Reset to the derived total.
 	if err := cube.SetProgramTime(0); err != nil {
 		return nil, err

@@ -255,7 +255,7 @@ func serveRec(h http.Handler, path, accept string) *httptest.ResponseRecorder {
 // that keep, change, drop and append windows, the per-window encoding
 // cache writes exactly encodeJSON's bytes, including for nil and empty
 // lists, null indices, negative zeros, HTML-escaped names, and values
-// JSON cannot carry (no bytes at all).
+// JSON cannot carry (no bytes at all, and an error from both).
 func TestTimelinePiecesMatchEncodeJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	id := func(v float64) *float64 { return &v }
@@ -317,10 +317,10 @@ func TestTimelinePiecesMatchEncodeJSON(t *testing.T) {
 			p.Window = math.Inf(1)
 		}
 		var want, got bytes.Buffer
-		encodeJSON(&want, p)
-		pieces.encode(&got, &p)
-		if got.String() != want.String() {
-			t.Fatalf("generation %d:\ngot  %s\nwant %s", gen, got.String(), want.String())
+		wantErr := encodeJSON(&want, p)
+		gotErr := pieces.encode(&got, &p)
+		if got.String() != want.String() || (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("generation %d:\ngot  %s (err %v)\nwant %s (err %v)", gen, got.String(), gotErr, want.String(), wantErr)
 		}
 	}
 }

@@ -128,26 +128,41 @@ func jsonBody(w http.ResponseWriter, r *http.Request) (io.Writer, func()) {
 	return gz, func() { _ = gz.Close() }
 }
 
-// encodeJSON writes v to w as the indented JSON every endpoint serves.
-func encodeJSON(w io.Writer, v any) {
+// encodeJSON writes v to w as the indented JSON every endpoint serves. A
+// value JSON cannot carry (a NaN or infinite number) fails the encoding
+// before anything is written.
+func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	return enc.Encode(v)
+}
+
+// encodeFailed answers a document that could not be encoded: 500, with
+// no ETag and no content coding, since there is no body to name.
+func encodeFailed(w http.ResponseWriter, err error) {
+	w.Header().Del("ETag")
+	http.Error(w, "encoding the document: "+err.Error(), http.StatusInternalServerError)
 }
 
 // writeJSON writes v as indented JSON, gzip-encoded when the client asked
-// for it.
+// for it, or answers 500 when v cannot be encoded.
 func writeJSON(w http.ResponseWriter, r *http.Request, v any) {
+	var buf bytes.Buffer
+	if err := encodeJSON(&buf, v); err != nil {
+		encodeFailed(w, err)
+		return
+	}
 	body, done := jsonBody(w, r)
 	defer done()
-	encodeJSON(body, v)
+	_, _ = body.Write(buf.Bytes())
 }
 
 // docCache is one JSON endpoint's encoding of the last snapshot it
 // served: the identity body, and the gzip body once a client asked for
 // it. A snapshot is immutable and a new generation is a new snapshot, so
 // the document costs one encoding per generation however many clients
-// poll it, instead of one per request.
+// poll it, instead of one per request. A document that fails to encode
+// is not kept.
 type docCache struct {
 	mu   sync.Mutex
 	snap *monitor.Snapshot
@@ -158,21 +173,25 @@ type docCache struct {
 // write serves doc() for snap exactly as writeJSON would, from the cache
 // when snap is the snapshot it last encoded.
 func (c *docCache) write(w http.ResponseWriter, r *http.Request, snap *monitor.Snapshot, doc func() any) {
-	c.writeEncoded(w, r, snap, func(buf *bytes.Buffer) { encodeJSON(buf, doc()) })
+	c.writeEncoded(w, r, snap, func(buf *bytes.Buffer) error { return encodeJSON(buf, doc()) })
 }
 
 // writeEncoded is write with the document's encoder: encode writes into
-// buf exactly what encodeJSON would write for the document. It runs under
-// the cache's lock.
-func (c *docCache) writeEncoded(w http.ResponseWriter, r *http.Request, snap *monitor.Snapshot, encode func(buf *bytes.Buffer)) {
-	gzipped := jsonHeaders(w, r)
+// buf exactly what encodeJSON would write for the document, and fails
+// when encodeJSON would. It runs under the cache's lock.
+func (c *docCache) writeEncoded(w http.ResponseWriter, r *http.Request, snap *monitor.Snapshot, encode func(buf *bytes.Buffer) error) {
 	c.mu.Lock()
 	if c.snap != snap {
 		var buf bytes.Buffer
-		encode(&buf)
+		if err := encode(&buf); err != nil {
+			c.mu.Unlock()
+			encodeFailed(w, err)
+			return
+		}
 		c.snap, c.body, c.gz = snap, buf.Bytes(), nil
 	}
 	body := c.body
+	gzipped := jsonHeaders(w, r)
 	if gzipped {
 		if c.gz == nil {
 			var buf bytes.Buffer
@@ -273,7 +292,7 @@ func TimelineHandler(src Source, window float64) http.HandlerFunc {
 		if serveCached(w, r, snap) {
 			return
 		}
-		cache.writeEncoded(w, r, snap, func(buf *bytes.Buffer) {
+		cache.writeEncoded(w, r, snap, func(buf *bytes.Buffer) error {
 			p := timelinePayload{
 				Window:  width,
 				Windows: snap.Windows,
@@ -283,7 +302,7 @@ func TimelineHandler(src Source, window float64) http.HandlerFunc {
 				p.RingStart = snap.Series.RingStart
 				p.Coarse = snap.Coarse
 			}
-			pieces.encode(buf, &p)
+			return pieces.encode(buf, &p)
 		})
 	}
 }

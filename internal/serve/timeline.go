@@ -35,8 +35,9 @@ const (
 )
 
 // encode writes p to buf exactly as encodeJSON would: the same bytes, or
-// none when a value cannot be encoded. buf must be empty.
-func (c *timelinePieces) encode(buf *bytes.Buffer, p *timelinePayload) {
+// none and encodeJSON's failure when a value cannot be encoded. buf must
+// be empty.
+func (c *timelinePieces) encode(buf *bytes.Buffer, p *timelinePayload) error {
 	window, err := json.Marshal(p.Window)
 	var coarseWindow []byte
 	if err == nil && p.CoarseWindow != 0 {
@@ -50,8 +51,7 @@ func (c *timelinePieces) encode(buf *bytes.Buffer, p *timelinePayload) {
 		coarse, err = c.coarse.pieces(p.Coarse)
 	}
 	if err != nil {
-		encodeJSON(buf, p)
-		return
+		return err
 	}
 	buf.Grow(256 + size(ring) + size(coarse))
 	buf.WriteString("{\n" + fieldIndent + `"window": `)
@@ -74,6 +74,7 @@ func (c *timelinePieces) encode(buf *bytes.Buffer, p *timelinePayload) {
 	body := buf.Bytes()
 	c.ring.keep(p.Windows, ring, ringAt, body)
 	c.coarse.keep(p.Coarse, coarse, coarseAt, body)
+	return nil
 }
 
 // pieces returns the encoding of each of stats, reusing the kept encoding

@@ -63,6 +63,7 @@ func BenchmarkPointToPoint(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	run := e.Run(func(rank int) error {
 		if rank == 0 {
@@ -91,6 +92,7 @@ func BenchmarkCollective(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	run := e.Run(func(rank int) error {
 		for i := 0; i < b.N; i++ {
@@ -102,5 +104,52 @@ func BenchmarkCollective(b *testing.B) {
 	})
 	if run != nil {
 		b.Fatal(run)
+	}
+}
+
+// BenchmarkNeighborExchange measures a halo exchange: 8 ranks in a ring,
+// each step a send to and a receive from each neighbour. fixed-tags
+// reuses two tags every step, as the CFD solver does; fresh-tags opens
+// new ones every step, as AMR does every phase.
+func BenchmarkNeighborExchange(b *testing.B) {
+	const procs = 8
+	for _, bc := range []struct {
+		name string
+		tags func(step int) (right, left int)
+	}{
+		{"fixed-tags", func(int) (int, int) { return 0, 1 }},
+		{"fresh-tags", func(step int) (int, int) { return 2 * step, 2*step + 1 }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e, err := NewEngine(procs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			run := e.Run(func(rank int) error {
+				right, left := (rank+1)%procs, (rank+procs-1)%procs
+				for step := 0; step < b.N; step++ {
+					toRight, toLeft := bc.tags(step)
+					msg := Message{Arrival: float64(step), Bytes: 8}
+					if err := e.Post(rank, right, toRight, msg); err != nil {
+						return err
+					}
+					if err := e.Post(rank, left, toLeft, msg); err != nil {
+						return err
+					}
+					if _, err := e.Fetch(left, rank, toRight); err != nil {
+						return err
+					}
+					if _, err := e.Fetch(right, rank, toLeft); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if run != nil {
+				b.Fatal(run)
+			}
+		})
 	}
 }

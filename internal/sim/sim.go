@@ -2,8 +2,9 @@
 // message-passing programs: the substrate that stands in for the paper's
 // IBM SP2. P ranks run concurrently as goroutines, each owning a virtual
 // clock; the engine provides the two coordination primitives every
-// message-passing model needs — point-to-point mailboxes and collective
-// rendezvous — exchanging *virtual timestamps* rather than data.
+// message-passing model needs — point-to-point messages, queued in one
+// inbox per destination rank, and collective rendezvous — exchanging
+// *virtual timestamps* rather than data.
 //
 // Determinism: all virtual times are pure functions of the timestamps the
 // ranks exchange, never of real time or of the goroutine schedule. Message
@@ -18,6 +19,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -51,64 +53,142 @@ type Message struct {
 	Payload any
 }
 
-// mailboxKey identifies one FIFO message channel.
-type mailboxKey struct {
-	src, dst, tag int
+// chanKey identifies one FIFO message channel into a destination rank.
+type chanKey struct {
+	src, tag int
 }
 
-// mailbox is an unbounded FIFO queue of messages with blocking Fetch.
-type mailbox struct {
+// queue is one channel's FIFO: msgs[head:] are the undelivered messages.
+// Its first buffer is the one-message array inside it, which is all a
+// channel that carries one message at a time ever needs.
+type queue struct {
+	msgs  []Message
+	head  int
+	next  *queue // the next spare queue, while this one is spare
+	first [1]Message
+}
+
+func (q *queue) push(msg Message) {
+	if len(q.msgs) == cap(q.msgs) {
+		q.grow()
+	}
+	q.msgs = append(q.msgs, msg)
+}
+
+// grow makes room for one more message: it slides the undelivered
+// messages to the front of the buffer when some were delivered, and
+// otherwise moves them to a buffer twice the size. The slots it leaves
+// are cleared, so no payload outlives its delivery.
+func (q *queue) grow() {
+	if q.head > 0 {
+		n := copy(q.msgs, q.msgs[q.head:])
+		clear(q.msgs[n:])
+		q.msgs, q.head = q.msgs[:n], 0
+		return
+	}
+	msgs := make([]Message, len(q.msgs), 2*cap(q.msgs))
+	copy(msgs, q.msgs)
+	clear(q.msgs)
+	q.msgs = msgs
+}
+
+func (q *queue) pending() int { return len(q.msgs) - q.head }
+
+// inbox holds every message posted to one destination rank: a FIFO queue
+// per (src, tag) channel, under one lock. A queue that drains leaves the
+// map for the spare list with its buffer, and the next channel to open
+// takes it, so a program that opens a fresh tag every phase allocates no
+// more than one that reuses its tags.
+type inbox struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []Message
+	cond   sync.Cond
+	queues map[chanKey]*queue // only channels with undelivered messages
+	spare  *queue             // drained queues, linked through next
+	made   int                // queues allocated so far
 	closed bool
 }
 
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
+// take returns a spare queue. When none is left it allocates as many
+// queues as the inbox has made so far in one block, so an inbox that
+// holds n channels open at once makes its queues in O(log n) allocations.
+func (b *inbox) take() *queue {
+	if b.spare == nil {
+		block := make([]queue, max(b.made, 1))
+		b.made += len(block)
+		for i := range block {
+			block[i].msgs = block[i].first[:0]
+			block[i].next = b.spare
+			b.spare = &block[i]
+		}
+	}
+	q := b.spare
+	b.spare, q.next = q.next, nil
+	return q
 }
 
-func (m *mailbox) post(msg Message) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.queue = append(m.queue, msg)
-	m.cond.Signal()
+func (b *inbox) post(k chanKey, msg Message) {
+	b.mu.Lock()
+	q := b.queues[k]
+	if q == nil {
+		if b.queues == nil {
+			b.queues = make(map[chanKey]*queue)
+		}
+		q = b.take()
+		b.queues[k] = q
+	}
+	q.push(msg)
+	b.mu.Unlock()
+	// Any goroutine may fetch for any destination, so the waiter for
+	// this channel need not be the first in line: wake them all.
+	b.cond.Broadcast()
 }
 
-// fetch blocks until a message is available or the mailbox is closed by
-// cancellation.
-func (m *mailbox) fetch() (Message, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.queue) == 0 && !m.closed {
-		m.cond.Wait()
+// fetch blocks until a message is queued on channel k and dequeues it.
+// Queued messages are delivered even after the inbox is closed; a fetch
+// that would block on a closed inbox fails with ErrCanceled.
+func (b *inbox) fetch(k chanKey) (Message, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	q := b.queues[k]
+	for q == nil {
+		if b.closed {
+			return Message{}, ErrCanceled
+		}
+		b.cond.Wait()
+		q = b.queues[k]
 	}
-	if len(m.queue) == 0 {
-		return Message{}, ErrCanceled
+	msg := q.msgs[q.head]
+	q.msgs[q.head] = Message{} // drop the payload reference
+	q.head++
+	if q.head == len(q.msgs) {
+		q.msgs, q.head = q.msgs[:0], 0
+		delete(b.queues, k)
+		q.next, b.spare = b.spare, q
 	}
-	msg := m.queue[0]
-	m.queue = m.queue[1:]
 	return msg, nil
 }
 
-func (m *mailbox) close() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.closed = true
-	m.cond.Broadcast()
+func (b *inbox) close() {
+	b.mu.Lock()
+	b.closed = true
+	b.mu.Unlock()
+	b.cond.Broadcast()
 }
 
-func (m *mailbox) pending() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.queue)
+func (b *inbox) pending() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for _, q := range b.queues {
+		n += q.pending()
+	}
+	return n
 }
 
 // round is one collective rendezvous: it completes when all ranks have
 // entered, at which point every participant observes the same maximum
-// arrival time.
+// arrival time. Its vectors are written only while ranks enter and never
+// after the round completes.
 type round struct {
 	op      string
 	count   int
@@ -116,21 +196,20 @@ type round struct {
 	sum     float64
 	done    chan struct{}
 	err     error
-	arrival []float64 // per-rank arrival times, for reductions that need them
-	values  []float64 // per-rank contributed values, for allgather-style ops
+	arrival []float64 // per-rank arrival times
+	values  []float64 // per-rank contributed values
 }
 
 // Engine coordinates one simulated run.
 type Engine struct {
-	procs int
+	procs   int
+	inboxes []inbox // indexed by destination rank
 
-	mu        sync.Mutex
-	mailboxes map[mailboxKey]*mailbox
-	current   *round
+	mu      sync.Mutex // guards current
+	current *round
 
-	cancel    chan struct{}
-	cancelMu  sync.Mutex
-	cancelled bool
+	cancel     chan struct{}
+	cancelOnce sync.Once
 }
 
 // NewEngine creates an engine for the given number of ranks.
@@ -138,11 +217,15 @@ func NewEngine(procs int) (*Engine, error) {
 	if procs < 1 {
 		return nil, ErrBadRanks
 	}
-	return &Engine{
-		procs:     procs,
-		mailboxes: make(map[mailboxKey]*mailbox),
-		cancel:    make(chan struct{}),
-	}, nil
+	e := &Engine{
+		procs:   procs,
+		inboxes: make([]inbox, procs),
+		cancel:  make(chan struct{}),
+	}
+	for i := range e.inboxes {
+		e.inboxes[i].cond.L = &e.inboxes[i].mu
+	}
+	return e, nil
 }
 
 // Procs returns the number of ranks.
@@ -155,17 +238,6 @@ func (e *Engine) checkRank(r int) error {
 	return nil
 }
 
-func (e *Engine) box(k mailboxKey) *mailbox {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	b, ok := e.mailboxes[k]
-	if !ok {
-		b = newMailbox()
-		e.mailboxes[k] = b
-	}
-	return b
-}
-
 // Post delivers a message from src to dst on the tag channel. It never
 // blocks (eager buffered communication).
 func (e *Engine) Post(src, dst, tag int, msg Message) error {
@@ -175,13 +247,13 @@ func (e *Engine) Post(src, dst, tag int, msg Message) error {
 	if err := e.checkRank(dst); err != nil {
 		return err
 	}
-	e.box(mailboxKey{src, dst, tag}).post(msg)
+	e.inboxes[dst].post(chanKey{src, tag}, msg)
 	return nil
 }
 
 // Fetch blocks until a message from src to dst on the tag channel is
 // available and returns it. It fails with ErrCanceled when the run is torn
-// down while waiting.
+// down while waiting, or has been before it was called.
 func (e *Engine) Fetch(src, dst, tag int) (Message, error) {
 	if err := e.checkRank(src); err != nil {
 		return Message{}, err
@@ -189,18 +261,7 @@ func (e *Engine) Fetch(src, dst, tag int) (Message, error) {
 	if err := e.checkRank(dst); err != nil {
 		return Message{}, err
 	}
-	b := e.box(mailboxKey{src, dst, tag})
-	// Wake the fetch if cancellation happens while blocked.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-e.cancel:
-			b.close()
-		case <-done:
-		}
-	}()
-	return b.fetch()
+	return e.inboxes[dst].fetch(chanKey{src, tag})
 }
 
 // CollectiveResult is what every participant of a collective rendezvous
@@ -212,12 +273,26 @@ type CollectiveResult struct {
 	// Sum is the sum of the values contributed by the ranks, supporting
 	// global reductions of application data (e.g. residual norms).
 	Sum float64
-	// Arrivals holds each rank's arrival time, indexed by rank.
-	Arrivals []float64
-	// Values holds each rank's contributed value, indexed by rank —
-	// the payload of allgather-style collectives (e.g. per-rank load
-	// vectors for rebalancing decisions).
-	Values []float64
+	r   *round
+}
+
+// Arrivals returns a fresh copy of each rank's arrival time, indexed by
+// rank.
+func (c CollectiveResult) Arrivals() []float64 {
+	if c.r == nil {
+		return nil
+	}
+	return slices.Clone(c.r.arrival)
+}
+
+// Values returns a fresh copy of each rank's contributed value, indexed
+// by rank — the payload of allgather-style collectives (e.g. per-rank
+// load vectors for rebalancing decisions).
+func (c CollectiveResult) Values() []float64 {
+	if c.r == nil {
+		return nil
+	}
+	return slices.Clone(c.r.values)
 }
 
 // Collective enters rank into the collective rendezvous named op at the
@@ -231,11 +306,12 @@ func (e *Engine) Collective(rank int, op string, arrival, value float64) (Collec
 	}
 	e.mu.Lock()
 	if e.current == nil {
+		vecs := make([]float64, 2*e.procs)
 		e.current = &round{
 			op:      op,
 			done:    make(chan struct{}),
-			arrival: make([]float64, e.procs),
-			values:  make([]float64, e.procs),
+			arrival: vecs[:e.procs:e.procs],
+			values:  vecs[e.procs:],
 		}
 	}
 	r := e.current
@@ -263,22 +339,19 @@ func (e *Engine) Collective(rank int, op string, arrival, value float64) (Collec
 	if r.err != nil {
 		return CollectiveResult{}, r.err
 	}
-	return CollectiveResult{
-		Max:      r.max,
-		Sum:      r.sum,
-		Arrivals: append([]float64(nil), r.arrival...),
-		Values:   append([]float64(nil), r.values...),
-	}, nil
+	return CollectiveResult{Max: r.max, Sum: r.sum, r: r}, nil
 }
 
-// abort tears down the run, waking every blocked rank with ErrCanceled.
+// abort tears down the run: it closes every inbox, so every blocked or
+// later Fetch that finds nothing queued fails with ErrCanceled, and wakes
+// every rank waiting in a collective.
 func (e *Engine) abort() {
-	e.cancelMu.Lock()
-	defer e.cancelMu.Unlock()
-	if !e.cancelled {
-		e.cancelled = true
+	e.cancelOnce.Do(func() {
 		close(e.cancel)
-	}
+		for i := range e.inboxes {
+			e.inboxes[i].close()
+		}
+	})
 }
 
 // Run executes program once per rank, concurrently, and waits for all
@@ -310,11 +383,9 @@ func (e *Engine) Run(program func(rank int) error) error {
 			return err
 		}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	leftover := 0
-	for _, b := range e.mailboxes {
-		leftover += b.pending()
+	for i := range e.inboxes {
+		leftover += e.inboxes[i].pending()
 	}
 	if leftover > 0 {
 		return fmt.Errorf("%w: %d", ErrLeftoverMessages, leftover)

@@ -141,8 +141,8 @@ func TestCollective(t *testing.T) {
 		if res.Sum != 6 {
 			return fmt.Errorf("sum = %g, want 0+1+2+3", res.Sum)
 		}
-		if res.Arrivals[3] != 6 || res.Arrivals[0] != 0 {
-			return fmt.Errorf("arrivals = %v", res.Arrivals)
+		if arr := res.Arrivals(); arr[3] != 6 || arr[0] != 0 {
+			return fmt.Errorf("arrivals = %v", arr)
 		}
 		return nil
 	})
@@ -307,17 +307,28 @@ func TestCollectiveValues(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if len(res.Values) != 4 {
-			return fmt.Errorf("values len = %d, want 4", len(res.Values))
+		values := res.Values()
+		if len(values) != 4 {
+			return fmt.Errorf("values len = %d, want 4", len(values))
 		}
-		for r, v := range res.Values {
+		for r, v := range values {
 			if v != float64(r)*10 {
 				return fmt.Errorf("values[%d] = %g, want %g", r, v, float64(r)*10)
 			}
 		}
 		// Each participant must get its own copy: mutating one rank's
-		// slice must not be visible to the others.
-		res.Values[rank] = -1
+		// slice must not be visible to the others, nor to a later call.
+		for r := range values {
+			values[r] = -1
+		}
+		if _, err := e.Collective(rank, "sync", 0, 0); err != nil {
+			return err
+		}
+		for r, v := range res.Values() {
+			if v != float64(r)*10 {
+				return fmt.Errorf("after the mutation values[%d] = %g, want %g", r, v, float64(r)*10)
+			}
+		}
 		return nil
 	})
 	if run != nil {

@@ -98,7 +98,14 @@ func (c *Cube) marginals() *marginals {
 }
 
 // invalidate drops the cached marginals; every mutator of times calls it.
-func (c *Cube) invalidate() { c.marg.Store(nil) }
+// A mutation never runs concurrently with readers, so the load sees any
+// cache a reader published, and a cold cache, the common case while a
+// cube is being filled, costs no atomic store.
+func (c *Cube) invalidate() {
+	if c.marg.Load() != nil {
+		c.marg.Store(nil)
+	}
+}
 
 // computeMarginals builds all marginal sums in a single pass over the
 // cube, preserving the historical per-accessor summation orders: p inside
